@@ -1,9 +1,6 @@
 //! The CPU backend: real multi-threaded execution of `mnn-kernels`.
 
-use crate::traits::{
-    Backend, BackendDescriptor, BufferHandle, BufferTable, ConvScheme, Execution, ForwardType,
-    SchemeHint, StorageType,
-};
+use crate::traits::{Backend, BackendDescriptor, ConvScheme, Execution, ForwardType, SchemeHint};
 use crate::BackendError;
 use mnn_graph::{ActivationKind, Conv2dAttrs, Graph, Node, Op, QuantAttrs, TensorId};
 use mnn_kernels::activation::Activation;
@@ -26,7 +23,6 @@ pub const DEFAULT_FLOPS_PER_THREAD: f64 = 2.0e9;
 pub struct CpuBackend {
     threads: usize,
     flops: f64,
-    buffers: BufferTable,
 }
 
 impl CpuBackend {
@@ -36,7 +32,6 @@ impl CpuBackend {
         CpuBackend {
             threads,
             flops: DEFAULT_FLOPS_PER_THREAD * threads as f64,
-            buffers: BufferTable::default(),
         }
     }
 
@@ -229,18 +224,6 @@ impl Backend for CpuBackend {
                 },
             })),
         }
-    }
-
-    fn on_acquire_buffer(&mut self, len: usize, _storage: StorageType) -> BufferHandle {
-        self.buffers.acquire(len)
-    }
-
-    fn on_release_buffer(&mut self, handle: BufferHandle) -> Result<(), BackendError> {
-        self.buffers.release(handle)
-    }
-
-    fn on_clear_buffer(&mut self) {
-        self.buffers.clear();
     }
 }
 
@@ -953,15 +936,6 @@ mod tests {
         assert!(d4.flops > d1.flops);
         assert_eq!(d1.t_schedule_ms, 0.0);
         assert!(!d1.forward_type.is_gpu());
-    }
-
-    #[test]
-    fn buffer_management_roundtrip() {
-        let mut backend = CpuBackend::new(1);
-        let h = backend.on_acquire_buffer(64, StorageType::Dynamic);
-        backend.on_release_buffer(h).unwrap();
-        assert!(backend.on_release_buffer(h).is_err());
-        backend.on_clear_buffer();
     }
 
     #[test]

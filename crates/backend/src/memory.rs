@@ -1,77 +1,17 @@
-//! Memory pooling and static memory planning.
+//! Static memory planning.
 //!
 //! MNN decouples memory management from computation (paper Section 3.2, Fig. 3):
 //! during pre-inference the engine *virtually* walks the graph, records every
 //! allocation and release, and computes a reusable memory plan; the actual inference
 //! then only computes, touching a pre-allocated arena.
 //!
-//! Two cooperating pieces implement that here:
-//!
-//! * [`BufferAllocator`] — a size-classed runtime pool that recycles buffers between
-//!   acquire/release calls (MNN's `BufferAllocator` equivalent).
-//! * [`MemoryPlanner`] / [`MemoryArena`] — the static planner: `plan_acquire` /
-//!   `plan_release` calls made while virtually walking the graph produce
-//!   offset/size assignments with aggressive reuse; [`MemoryArena`] then backs the
-//!   whole plan with a single allocation.
-
-use std::collections::BTreeMap;
+//! [`MemoryPlanner`] is that walk: `plan_acquire` / `plan_release` calls produce
+//! offset/size assignments with aggressive reuse. [`MemoryArena`] backs a whole
+//! plan with a single allocation.
 
 /// Identifier of a planned buffer within a [`MemoryPlanner`] / [`MemoryArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanId(pub usize);
-
-/// A size-classed pool of reusable `f32` buffers.
-///
-/// `acquire` returns a zero-length-agnostic buffer of at least the requested length
-/// (buffers are recycled by exact length class); `release` puts it back for reuse.
-/// The pool tracks the total number of elements ever allocated versus recycled so
-/// tests can assert reuse actually happens.
-#[derive(Debug, Default)]
-pub struct BufferAllocator {
-    free: BTreeMap<usize, Vec<Vec<f32>>>,
-    allocated_elements: usize,
-    recycled_hits: usize,
-}
-
-impl BufferAllocator {
-    /// Create an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Acquire a buffer with exactly `len` elements (zero-filled).
-    pub fn acquire(&mut self, len: usize) -> Vec<f32> {
-        if let Some(bufs) = self.free.get_mut(&len) {
-            if let Some(mut buf) = bufs.pop() {
-                self.recycled_hits += 1;
-                buf.iter_mut().for_each(|v| *v = 0.0);
-                return buf;
-            }
-        }
-        self.allocated_elements += len;
-        vec![0.0; len]
-    }
-
-    /// Return a buffer to the pool for reuse.
-    pub fn release(&mut self, buf: Vec<f32>) {
-        self.free.entry(buf.len()).or_default().push(buf);
-    }
-
-    /// Total number of elements allocated from the system (not counting reuse).
-    pub fn allocated_elements(&self) -> usize {
-        self.allocated_elements
-    }
-
-    /// Number of acquisitions served from the free list.
-    pub fn recycled_hits(&self) -> usize {
-        self.recycled_hits
-    }
-
-    /// Drop all cached buffers (the `on_clear_buffer` hook of Fig. 5).
-    pub fn clear(&mut self) {
-        self.free.clear();
-    }
-}
 
 /// A planned buffer assignment: byte-less (element) offset and length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,37 +191,6 @@ impl MemoryArena {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn allocator_recycles_buffers() {
-        let mut pool = BufferAllocator::new();
-        let a = pool.acquire(128);
-        pool.release(a);
-        let _b = pool.acquire(128);
-        assert_eq!(pool.recycled_hits(), 1);
-        assert_eq!(pool.allocated_elements(), 128);
-    }
-
-    #[test]
-    fn allocator_zeroes_recycled_buffers() {
-        let mut pool = BufferAllocator::new();
-        let mut a = pool.acquire(4);
-        a.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        pool.release(a);
-        let b = pool.acquire(4);
-        assert_eq!(b, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn allocator_clear_drops_cache() {
-        let mut pool = BufferAllocator::new();
-        let a = pool.acquire(64);
-        pool.release(a);
-        pool.clear();
-        let _b = pool.acquire(64);
-        assert_eq!(pool.recycled_hits(), 0);
-        assert_eq!(pool.allocated_elements(), 128);
-    }
 
     #[test]
     fn planner_reuses_released_regions() {

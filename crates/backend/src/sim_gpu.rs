@@ -16,10 +16,7 @@
 //! inference, which is what produces the large GPU-side gains of Table 2.
 
 use crate::cpu::CpuBackend;
-use crate::traits::{
-    Backend, BackendDescriptor, BufferHandle, BufferTable, Execution, ForwardType, SchemeHint,
-    StorageType,
-};
+use crate::traits::{Backend, BackendDescriptor, Execution, ForwardType, SchemeHint};
 use crate::BackendError;
 use mnn_graph::{Graph, Node, Op};
 use mnn_tensor::Tensor;
@@ -92,7 +89,6 @@ pub struct SimGpuBackend {
     clock: Arc<Mutex<f64>>,
     /// Whether preparation (command encoding) is decoupled from execution.
     decoupled: bool,
-    buffers: BufferTable,
 }
 
 impl SimGpuBackend {
@@ -112,7 +108,6 @@ impl SimGpuBackend {
             cpu: CpuBackend::new(1),
             clock: Arc::new(Mutex::new(0.0)),
             decoupled: true,
-            buffers: BufferTable::default(),
         }
     }
 
@@ -194,18 +189,6 @@ impl Backend for SimGpuBackend {
             charge_schedule_per_run: !self.decoupled,
             clock: Arc::clone(&self.clock),
         }))
-    }
-
-    fn on_acquire_buffer(&mut self, len: usize, _storage: StorageType) -> BufferHandle {
-        self.buffers.acquire(len)
-    }
-
-    fn on_release_buffer(&mut self, handle: BufferHandle) -> Result<(), BackendError> {
-        self.buffers.release(handle)
-    }
-
-    fn on_clear_buffer(&mut self) {
-        self.buffers.clear();
     }
 
     fn virtual_elapsed_ms(&self) -> f64 {

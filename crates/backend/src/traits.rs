@@ -1,10 +1,8 @@
 //! The `Backend` abstraction (paper Fig. 5) and supporting types.
 
-use crate::memory::BufferAllocator;
 use crate::BackendError;
 use mnn_graph::{Graph, Node};
 use mnn_tensor::Tensor;
-use std::collections::HashMap;
 use std::fmt;
 
 /// The hardware/software solution a backend targets.
@@ -48,23 +46,6 @@ impl fmt::Display for ForwardType {
         f.write_str(self.name())
     }
 }
-
-/// Where a buffer should live (MNN's `StorageType`): statically planned for the
-/// whole session, or dynamically recycled between operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StorageType {
-    /// Buffer reused across operators within one inference (eligible for the memory
-    /// pool / arena reuse of Fig. 3).
-    #[default]
-    Dynamic,
-    /// Buffer that must persist for the lifetime of the session (e.g. pre-transformed
-    /// weights).
-    Static,
-}
-
-/// Handle to a buffer acquired from a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufferHandle(pub usize);
 
 /// Performance characteristics of a backend, used by the pre-inference cost model
 /// (paper Eq. 5 and Appendix C).
@@ -285,8 +266,9 @@ pub trait Execution: Send {
 
 /// The backend abstraction of paper Fig. 5.
 ///
-/// A backend owns resource management (buffers), knows its performance envelope
-/// ([`BackendDescriptor`]) and creates [`Execution`] instances for graph nodes.
+/// A backend knows its performance envelope ([`BackendDescriptor`]) and creates
+/// [`Execution`] instances for graph nodes. Activation memory is not its
+/// business: the session plans it (see [`crate::memory`]).
 pub trait Backend: Send {
     /// The forward type this backend implements.
     fn forward_type(&self) -> ForwardType;
@@ -329,19 +311,6 @@ pub trait Backend: Send {
     /// Hook called after a sequence of executions (MNN's `onExecuteEnd`).
     fn on_execute_end(&mut self) {}
 
-    /// Allocate a buffer of `len` f32 elements (MNN's `onAcquireBuffer`).
-    fn on_acquire_buffer(&mut self, len: usize, storage: StorageType) -> BufferHandle;
-
-    /// Release a buffer (MNN's `onReleaseBuffer`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::InvalidBuffer`] for unknown handles.
-    fn on_release_buffer(&mut self, handle: BufferHandle) -> Result<(), BackendError>;
-
-    /// Drop all cached buffers (MNN's `onClearBuffer`).
-    fn on_clear_buffer(&mut self);
-
     /// Copy tensor contents between backends / layouts (MNN's `onCopyBuffer`).
     ///
     /// # Errors
@@ -368,44 +337,6 @@ pub trait Backend: Send {
 
     /// Reset the virtual clock of a simulated backend.
     fn reset_virtual_clock(&mut self) {}
-}
-
-/// Shared buffer bookkeeping used by both the CPU and the simulated GPU backends.
-#[derive(Debug, Default)]
-pub(crate) struct BufferTable {
-    pool: BufferAllocator,
-    buffers: HashMap<usize, Vec<f32>>,
-    next: usize,
-}
-
-impl BufferTable {
-    pub(crate) fn acquire(&mut self, len: usize) -> BufferHandle {
-        let buf = self.pool.acquire(len);
-        let id = self.next;
-        self.next += 1;
-        self.buffers.insert(id, buf);
-        BufferHandle(id)
-    }
-
-    pub(crate) fn release(&mut self, handle: BufferHandle) -> Result<(), BackendError> {
-        match self.buffers.remove(&handle.0) {
-            Some(buf) => {
-                self.pool.release(buf);
-                Ok(())
-            }
-            None => Err(BackendError::InvalidBuffer(handle.0)),
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.buffers.clear();
-        self.pool.clear();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn live_count(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 #[cfg(test)]
@@ -504,15 +435,5 @@ mod tests {
         } else {
             assert_eq!(simd_count, 0, "scalar host must not offer SIMD candidates");
         }
-    }
-
-    #[test]
-    fn buffer_table_acquire_release_cycle() {
-        let mut table = BufferTable::default();
-        let h = table.acquire(32);
-        assert_eq!(table.live_count(), 1);
-        table.release(h).unwrap();
-        assert_eq!(table.live_count(), 0);
-        assert!(table.release(h).is_err());
     }
 }

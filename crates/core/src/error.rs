@@ -61,8 +61,8 @@ mod tests {
         let e: CoreError = GraphError::Cycle.into();
         assert!(e.to_string().contains("cycle"));
         assert!(e.source().is_some());
-        let e: CoreError = BackendError::InvalidBuffer(3).into();
-        assert!(e.to_string().contains("3"));
+        let e: CoreError = BackendError::ShapeMismatch("3 vs 4".into()).into();
+        assert!(e.to_string().contains("3 vs 4"));
     }
 
     #[test]

@@ -8,8 +8,59 @@
 
 use crate::CoreError;
 use mnn_backend::memory::{MemoryPlanner, PlanId};
-use mnn_graph::{Graph, TensorId};
+use mnn_graph::{Graph, NodeId, TensorId};
 use std::collections::HashMap;
+
+/// The one tensor-lifetime analysis of pre-inference: for each position in
+/// `order`, the intermediate tensors whose last consumer is the node at that
+/// position, in the order the node reads them.
+///
+/// Constants and graph inputs never appear (they are not the engine's to
+/// free), nor do graph outputs (they outlive the run). [`MemoryPlan`] turns
+/// these release points into arena reuse; the session's step list turns them
+/// into the slots it drops after each step.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Graph`] for an id in `order` or in a node's inputs that
+/// the graph does not know.
+pub(crate) fn release_points(
+    graph: &Graph,
+    order: &[NodeId],
+) -> Result<Vec<Vec<TensorId>>, CoreError> {
+    let mut last_use: Vec<Option<usize>> = vec![None; graph.tensors().len()];
+    for (position, node_id) in order.iter().enumerate() {
+        for input in &graph.node(*node_id)?.inputs {
+            if !graph.tensor_info(*input)?.is_constant {
+                last_use[input.0] = Some(position);
+            }
+        }
+    }
+    for kept in graph.inputs().iter().chain(graph.outputs()) {
+        graph.tensor_info(*kept)?;
+        last_use[kept.0] = None;
+    }
+    let mut releases: Vec<Vec<TensorId>> = vec![Vec::new(); order.len()];
+    for (position, node_id) in order.iter().enumerate() {
+        let inputs = &graph.node(*node_id)?.inputs;
+        for (i, input) in inputs.iter().enumerate() {
+            // A node may read one tensor twice: release it once, after the
+            // last read.
+            if last_use[input.0] == Some(position) && !inputs[i + 1..].contains(input) {
+                releases[position].push(*input);
+            }
+        }
+    }
+    Ok(releases)
+}
+
+/// One planned tensor: its arena region and the steps over which it holds it.
+#[derive(Debug, Clone, Copy)]
+struct Assignment {
+    plan: PlanId,
+    acquired_at: usize,
+    released_after: Option<usize>,
+}
 
 /// The memory plan produced by the virtual walk.
 ///
@@ -20,7 +71,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct MemoryPlan {
     /// Assignment of each planned (non-constant, non-input) tensor to an arena slot.
-    assignments: HashMap<TensorId, PlanId>,
+    assignments: HashMap<TensorId, Assignment>,
     /// Arena size in bytes with live-range reuse.
     planned_bytes: usize,
     /// Total bytes that would be needed without any reuse (sum of all
@@ -42,19 +93,17 @@ impl MemoryPlan {
     /// Returns [`CoreError::Graph`] if the graph is cyclic or a shape is missing.
     pub fn build(graph: &Graph) -> Result<Self, CoreError> {
         let order = graph.topological_order()?;
+        let releases = release_points(graph, &order)?;
+        Self::walk(graph, &order, &releases)
+    }
 
-        // Count how many consumers each tensor has among graph nodes; graph outputs
-        // get an extra reference so they are never recycled.
-        let mut remaining_uses: HashMap<TensorId, usize> = HashMap::new();
-        for node in graph.nodes() {
-            for input in &node.inputs {
-                *remaining_uses.entry(*input).or_insert(0) += 1;
-            }
-        }
-        for output in graph.outputs() {
-            *remaining_uses.entry(*output).or_insert(0) += 1;
-        }
-
+    /// The virtual walk over an already computed order and its
+    /// [`release_points`].
+    pub(crate) fn walk(
+        graph: &Graph,
+        order: &[NodeId],
+        releases: &[Vec<TensorId>],
+    ) -> Result<Self, CoreError> {
         let mut planner = MemoryPlanner::new();
         let mut assignments = HashMap::new();
         let mut unplanned = 0usize;
@@ -67,28 +116,23 @@ impl MemoryPlan {
             Ok(shape.num_elements() * info.dtype.size_of())
         };
 
-        for node_id in order {
-            let node = graph.node(node_id)?;
+        for (position, (node_id, released)) in order.iter().zip(releases).enumerate() {
             // Acquire the output buffer.
-            for output in &node.outputs {
+            for output in &graph.node(*node_id)?.outputs {
                 let bytes = tensor_bytes(*output)?;
                 unplanned += bytes;
-                let plan = planner.plan_acquire(bytes);
-                assignments.insert(*output, plan);
+                let assignment = Assignment {
+                    plan: planner.plan_acquire(bytes),
+                    acquired_at: position,
+                    released_after: None,
+                };
+                assignments.insert(*output, assignment);
             }
             // Release inputs whose last consumer has now run.
-            for input in &node.inputs {
-                let info = graph.tensor_info(*input)?;
-                if info.is_constant || graph.inputs().contains(input) {
-                    continue;
-                }
-                if let Some(uses) = remaining_uses.get_mut(input) {
-                    *uses -= 1;
-                    if *uses == 0 {
-                        if let Some(plan) = assignments.get(input) {
-                            planner.plan_release(*plan);
-                        }
-                    }
+            for input in released {
+                if let Some(assignment) = assignments.get_mut(input) {
+                    planner.plan_release(assignment.plan);
+                    assignment.released_after = Some(position);
                 }
             }
         }
@@ -143,7 +187,17 @@ impl MemoryPlan {
 
     /// The arena slot assigned to a tensor, if it was planned.
     pub fn assignment(&self, id: TensorId) -> Option<PlanId> {
-        self.assignments.get(&id).copied()
+        self.assignments.get(&id).map(|a| a.plan)
+    }
+
+    /// The steps (positions in the execution order) over which a planned tensor
+    /// holds its arena region: from the step that produces it through the step
+    /// after which the walk released it — `None` when it is kept to the end of
+    /// the run, as graph outputs are.
+    pub fn live_range(&self, id: TensorId) -> Option<(usize, Option<usize>)> {
+        self.assignments
+            .get(&id)
+            .map(|a| (a.acquired_at, a.released_after))
     }
 
     /// The underlying planner (offsets/lengths), for building an arena.

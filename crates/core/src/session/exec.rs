@@ -1,10 +1,10 @@
 //! Session execution: named and positional run paths over the pre-inference plan.
 
+use super::plan::Operand;
 use super::Session;
 use crate::CoreError;
-use mnn_graph::{NodeId, TensorId};
+use mnn_obs::RunRecorder;
 use mnn_tensor::Tensor;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Timing of one inference.
@@ -27,10 +27,8 @@ impl Session {
     ///
     /// Returns [`CoreError::InvalidInput`] for an unknown input name.
     pub fn input_mut(&mut self, name: &str) -> Result<&mut Tensor, CoreError> {
-        let id = self.resolve_input(name)?;
-        self.inputs
-            .get_mut(&id)
-            .ok_or_else(|| CoreError::InvalidInput(format!("input '{name}' has no staged tensor")))
+        let position = self.resolve_input(name)?;
+        Ok(&mut self.inputs[position])
     }
 
     /// The output tensor named `name`, produced by the most recent run.
@@ -42,11 +40,12 @@ impl Session {
     /// Returns [`CoreError::InvalidInput`] for an unknown output name or when no
     /// run has produced outputs yet.
     pub fn output(&self, name: &str) -> Result<&Tensor, CoreError> {
-        let id = self
+        let position = self
             .graph
             .output_named(name)
+            .and_then(|id| self.graph.outputs().iter().position(|out| *out == id))
             .ok_or_else(|| self.unknown_output(name))?;
-        self.outputs.get(&id).ok_or_else(|| {
+        self.outputs.get(position).ok_or_else(|| {
             CoreError::InvalidInput(format!(
                 "output '{name}' is not available: run the session first"
             ))
@@ -57,7 +56,9 @@ impl Session {
     /// `session.run_with(&[("data", &tensor)])`.
     ///
     /// Returns the outputs in graph-output order; they also stay readable through
-    /// [`Session::output`].
+    /// [`Session::output`], which is why this hands back copies. Outputs are
+    /// usually small (logits); the [`Session::input_mut`] +
+    /// [`Session::run_session`] + [`Session::output`] flow pays no copy at all.
     ///
     /// # Errors
     ///
@@ -73,22 +74,22 @@ impl Session {
         }
         // Resolve and validate the complete input list before staging anything:
         // a rejected call must not leave a half-updated staging area behind.
-        let mut provided: Vec<TensorId> = Vec::with_capacity(inputs.len());
+        let mut provided: Vec<usize> = Vec::with_capacity(inputs.len());
         for (name, tensor) in inputs {
-            let id = self.resolve_input(name)?;
-            if provided.contains(&id) {
+            let position = self.resolve_input(name)?;
+            if provided.contains(&position) {
                 return Err(CoreError::InvalidInput(format!(
                     "input '{name}' was provided more than once"
                 )));
             }
-            self.check_input_shape(id, tensor)?;
-            provided.push(id);
+            self.check_input_shape(position, tensor)?;
+            provided.push(position);
         }
-        for (id, (_, tensor)) in provided.iter().zip(inputs) {
-            self.inputs.insert(*id, (*tensor).clone());
+        for (position, (_, tensor)) in provided.into_iter().zip(inputs) {
+            self.inputs[position] = (*tensor).clone();
         }
         self.run_session()?;
-        self.collect_outputs()
+        Ok(self.outputs.clone())
     }
 
     /// Run one inference from the staged input tensors (the
@@ -101,11 +102,8 @@ impl Session {
     /// into [`Session::input_mut`] without resizing), and propagates backend
     /// errors.
     pub fn run_session(&mut self) -> Result<(), CoreError> {
-        for id in self.graph.inputs() {
-            let staged = self.inputs.get(id).ok_or_else(|| {
-                CoreError::InvalidInput(format!("input {id} has no staged tensor"))
-            })?;
-            self.check_input_shape(*id, staged)?;
+        for (position, staged) in self.inputs.iter().enumerate() {
+            self.check_input_shape(position, staged)?;
         }
         self.execute()
     }
@@ -122,24 +120,20 @@ impl Session {
     /// Returns [`CoreError::InvalidInput`] on input-count/shape mismatch and
     /// propagates backend errors.
     pub fn run(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>, CoreError> {
-        let graph_inputs = self.graph.inputs();
-        if inputs.len() != graph_inputs.len() {
+        if inputs.len() != self.inputs.len() {
             return Err(CoreError::InvalidInput(format!(
                 "expected {} inputs, got {}",
-                graph_inputs.len(),
+                self.inputs.len(),
                 inputs.len()
             )));
         }
         // Validate every input before staging any (see `run_with`).
-        let ids: Vec<TensorId> = graph_inputs.to_vec();
-        for (tensor, id) in inputs.iter().zip(&ids) {
-            self.check_input_shape(*id, tensor)?;
+        for (position, tensor) in inputs.iter().enumerate() {
+            self.check_input_shape(position, tensor)?;
         }
-        for (tensor, id) in inputs.iter().zip(&ids) {
-            self.inputs.insert(*id, tensor.clone());
-        }
+        self.inputs.clone_from_slice(inputs);
         self.execute()?;
-        self.collect_outputs()
+        Ok(self.outputs.clone())
     }
 
     /// Run `runs` timed inferences after `warmup` untimed ones and return the mean
@@ -171,13 +165,17 @@ impl Session {
         })
     }
 
-    pub(super) fn resolve_input(&self, name: &str) -> Result<TensorId, CoreError> {
-        self.graph.input_named(name).ok_or_else(|| {
-            CoreError::InvalidInput(format!(
-                "unknown input '{name}'; graph inputs are {:?}",
-                self.graph.input_names()
-            ))
-        })
+    /// The position of the graph input named `name`.
+    pub(super) fn resolve_input(&self, name: &str) -> Result<usize, CoreError> {
+        self.graph
+            .input_named(name)
+            .and_then(|id| self.graph.inputs().iter().position(|input| *input == id))
+            .ok_or_else(|| {
+                CoreError::InvalidInput(format!(
+                    "unknown input '{name}'; graph inputs are {:?}",
+                    self.graph.input_names()
+                ))
+            })
     }
 
     fn unknown_output(&self, name: &str) -> CoreError {
@@ -187,10 +185,10 @@ impl Session {
         ))
     }
 
-    fn check_input_shape(&self, id: TensorId, tensor: &Tensor) -> Result<(), CoreError> {
-        let expected = self.graph.tensor_info(id)?.shape.clone();
-        if let Some(expected) = expected {
-            if &expected != tensor.shape() {
+    fn check_input_shape(&self, position: usize, tensor: &Tensor) -> Result<(), CoreError> {
+        let id = self.graph.inputs()[position];
+        if let Some(expected) = &self.graph.tensor_info(id)?.shape {
+            if expected != tensor.shape() {
                 return Err(CoreError::InvalidInput(format!(
                     "input {id} expects shape {expected}, got {} (use resize_input + \
                      resize_session to change the geometry)",
@@ -201,24 +199,9 @@ impl Session {
         Ok(())
     }
 
-    // The returned `Vec` requires one copy per output tensor: outputs stay
-    // retained for `Session::output` while the run()/run_with() contract hands
-    // back owned tensors. The `input_mut` + `run_session` + `output` flow pays
-    // no such copy — outputs are usually small (logits), inputs/activations are
-    // the hot buffers and those are not copied.
-    fn collect_outputs(&mut self) -> Result<Vec<Tensor>, CoreError> {
-        let mut outputs = Vec::with_capacity(self.graph.outputs().len());
-        for id in self.graph.outputs() {
-            let tensor = self.outputs.get(id).ok_or_else(|| {
-                CoreError::InvalidInput(format!("graph output {id} was never produced"))
-            })?;
-            outputs.push(tensor.clone());
-        }
-        Ok(outputs)
-    }
-
-    /// The inference loop: pure computation against the pre-selected schemes,
-    /// placements and memory (paper Fig. 2's "execute" stage).
+    /// The inference loop: pure computation over the plan's step list (paper
+    /// Fig. 2's "execute" stage). Schemes, placements, operand slots and release
+    /// points were all decided by pre-inference; nothing is looked up here.
     fn execute(&mut self) -> Result<(), CoreError> {
         // reset GPU virtual clocks so per-run stats are meaningful
         for backend in &mut self.backends {
@@ -229,143 +212,66 @@ impl Session {
         }
         let start = Instant::now();
 
-        // Opt-in per-op profiling. When no profiler is attached (or it is
-        // disabled) `recorder` is `None` and the loop below takes no
-        // timestamps. Scheme/placement strings come from the plan report,
-        // snapshotted up front because the loop holds `self.plan` mutably.
-        // `capture` additionally feeds per-op spans to the request trace
-        // active on this thread, if any (see `mnn_obs::context`); its spans
-        // land on the request's timebase and flush when it drops.
-        let mut recorder = self.config.profiler.as_ref().and_then(|p| p.begin_run());
-        let mut capture = mnn_obs::context::begin_op_capture();
-        let timed = recorder.is_some() || capture.is_some();
-        let node_meta: HashMap<NodeId, (String, String)> = if timed {
-            self.plan
-                .report
-                .placements
-                .iter()
-                .map(|p| {
-                    let scheme = p
-                        .scheme
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|| "-".to_string());
-                    (p.node, (scheme, p.forward_type.to_string()))
-                })
-                .collect()
-        } else {
-            HashMap::new()
-        };
+        // Opt-in per-op timing, for the session's profiler and for the request
+        // trace active on this thread (see `mnn_obs::context`). When neither is
+        // listening `recorder` is `None` and the loop takes no timestamps.
+        let mut recorder = RunRecorder::begin(self.config.profiler.as_ref());
 
-        // Remaining-use counts drive early release of intermediate tensors, the
-        // runtime counterpart of the static plan.
-        let mut remaining_uses: HashMap<TensorId, usize> = HashMap::new();
-        for node in self.graph.nodes() {
-            for input in &node.inputs {
-                *remaining_uses.entry(*input).or_insert(0) += 1;
-            }
-        }
-        for output in self.graph.outputs() {
-            *remaining_uses.entry(*output).or_insert(0) += 1;
-        }
-
-        // Intermediate tensors produced during this run. Graph inputs are read
-        // by reference from the staged `self.inputs` map — no copy on the hot
-        // path.
-        let mut storage: HashMap<TensorId, Tensor> = HashMap::new();
+        // Slot `i` holds the output of step `i` until its last reader has run.
+        // Graph inputs are read by reference from the staged tensors — no copy
+        // on the hot path.
         let staged_inputs = &self.inputs;
+        let mut slots: Vec<Option<Tensor>> = Vec::new();
+        slots.resize_with(self.plan.steps.len(), || None);
 
-        for entry in &mut self.plan.scheduled {
-            let node = self.graph.node(entry.node)?;
-            // Gather activation inputs (constants were captured at creation time).
-            let mut activation_inputs: Vec<&Tensor> = Vec::new();
-            for input in &node.inputs {
-                let info = self.graph.tensor_info(*input)?;
-                if info.is_constant {
-                    continue;
-                }
-                let tensor = storage
-                    .get(input)
-                    .or_else(|| staged_inputs.get(input))
-                    .ok_or_else(|| {
-                        CoreError::InvalidInput(format!(
-                            "tensor {input} required by node '{}' is not available",
-                            node.name
-                        ))
-                    })?;
-                activation_inputs.push(tensor);
-            }
+        for (index, step) in self.plan.steps.iter_mut().enumerate() {
+            let activation_inputs: Vec<&Tensor> = step
+                .inputs
+                .iter()
+                .map(|operand| match *operand {
+                    Operand::Input(position) => &staged_inputs[position],
+                    Operand::Slot(slot) => slots[slot]
+                        .as_ref()
+                        .expect("the plan orders producers before readers and releases after"),
+                })
+                .collect();
             let mut output = Tensor::zeros(mnn_tensor::Shape::vector(1));
             // Bytes are summed *before* the timestamp so accounting never
             // inflates the measured kernel time.
-            let profiled = timed.then(|| {
+            let timed = recorder.is_some().then(|| {
                 let input_bytes: u64 = activation_inputs.iter().map(|t| t.byte_size() as u64).sum();
                 (input_bytes, Instant::now())
             });
-            if self.config.decouple_preparation {
-                let execution = entry
-                    .execution
-                    .as_mut()
-                    .expect("executions are pre-created when decoupled");
-                execution.run(&activation_inputs, &mut output)?;
-            } else {
-                // Pay the preparation cost inside the inference loop (Table 2 "w/o").
-                let mut execution =
-                    self.backends[entry.backend_index].on_create(node, &self.graph, &entry.hint)?;
-                execution.run(&activation_inputs, &mut output)?;
+            match step.execution.as_mut() {
+                Some(execution) => execution.run(&activation_inputs, &mut output)?,
+                None => {
+                    // Preparation was not decoupled: pay it inside the
+                    // inference loop (Table 2 "w/o").
+                    let node = self.graph.node(step.node)?;
+                    let mut execution = self.backends[step.backend_index].on_create(
+                        node,
+                        &self.graph,
+                        &step.hint,
+                    )?;
+                    execution.run(&activation_inputs, &mut output)?;
+                }
             }
             drop(activation_inputs);
-            if let Some((input_bytes, kernel_start)) = profiled {
-                let (scheme, placement) = node_meta
-                    .get(&entry.node)
-                    .map(|(s, p)| (s.as_str(), p.as_str()))
-                    .unwrap_or(("-", "-"));
+            if let (Some(recorder), Some((input_bytes, kernel_start))) = (&mut recorder, timed) {
                 let bytes = input_bytes + output.byte_size() as u64;
-                let shape = output.shape().to_string();
-                if let Some(rec) = recorder.as_mut() {
-                    rec.record_node(
-                        &node.name,
-                        node.op.name(),
-                        scheme,
-                        placement,
-                        &shape,
-                        kernel_start,
-                        bytes,
-                    );
-                }
-                if let Some(cap) = capture.as_mut() {
-                    cap.record_node(
-                        &node.name,
-                        node.op.name(),
-                        scheme,
-                        placement,
-                        &shape,
-                        kernel_start,
-                        bytes,
-                    );
-                }
+                recorder.record(&step.meta, kernel_start, bytes);
             }
-            storage.insert(node.outputs[0], output);
-
-            // Release inputs whose last consumer has run (memory reuse at runtime).
-            for input in &node.inputs {
-                let info = self.graph.tensor_info(*input)?;
-                if info.is_constant || self.graph.inputs().contains(input) {
-                    continue;
-                }
-                if let Some(uses) = remaining_uses.get_mut(input) {
-                    *uses = uses.saturating_sub(1);
-                    if *uses == 0 && !self.graph.outputs().contains(input) {
-                        storage.remove(input);
-                    }
-                }
+            slots[index] = Some(output);
+            for slot in &step.release {
+                slots[*slot] = None;
             }
         }
 
         for backend in &mut self.backends {
             backend.on_execute_end();
         }
-        if let Some(rec) = recorder {
-            rec.finish();
+        if let Some(recorder) = recorder {
+            recorder.finish();
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
         let gpu_virtual_ms: f64 = self.backends.iter().map(|b| b.virtual_elapsed_ms()).sum();
@@ -375,16 +281,19 @@ impl Session {
         };
 
         self.outputs.clear();
-        for id in self.graph.outputs() {
+        for operand in &self.plan.outputs {
             // A graph output is normally produced by a node; a degenerate graph
             // may also mark an input as an output (passthrough).
-            let tensor = match storage.remove(id) {
-                Some(tensor) => tensor,
-                None => self.inputs.get(id).cloned().ok_or_else(|| {
-                    CoreError::InvalidInput(format!("graph output {id} was never produced"))
+            let tensor = match *operand {
+                Operand::Input(position) => self.inputs[position].clone(),
+                Operand::Slot(slot) => slots[slot].take().ok_or_else(|| {
+                    CoreError::InvalidInput(format!(
+                        "graph output #{} was never produced",
+                        self.outputs.len()
+                    ))
                 })?,
             };
-            self.outputs.insert(*id, tensor);
+            self.outputs.push(tensor);
         }
         Ok(())
     }

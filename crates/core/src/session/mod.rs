@@ -12,9 +12,13 @@
 //!    encoding). The returned [`Session`] is **owned** (`'static` and [`Send`]): it
 //!    shares the graph with the interpreter through the `Arc`, may outlive it, and
 //!    can be moved onto worker threads.
-//! 3. [`Session::run_with`] / [`Session::run`] then perform pure computation
-//!    against the pre-selected schemes, placements and memory. I/O is addressed by
-//!    name ([`Session::input_mut`], [`Session::output`]).
+//!    The result is lowered once into a dense step list: each step owns its
+//!    execution, knows which slots it reads and which it frees afterwards, and
+//!    carries the metadata a profiler span needs.
+//! 3. [`Session::run_with`] / [`Session::run`] then perform pure computation: a
+//!    straight loop over the step list against a slot table, with no graph or
+//!    map lookup. I/O is addressed by name ([`Session::input_mut`],
+//!    [`Session::output`]).
 //! 4. When the input geometry changes, [`Session::resize_input`] +
 //!    [`Session::resize_session`] re-run pre-inference for the new shapes —
 //!    reusing unchanged execution instances and caching whole plans per shape
@@ -121,10 +125,12 @@ pub struct Session {
     backends: Vec<Box<dyn Backend>>,
     cpu_index: usize,
     plan: ExecutionPlan,
-    /// Named input tensors staged for the next run (see [`Session::input_mut`]).
-    inputs: HashMap<TensorId, Tensor>,
-    /// Outputs of the most recent run (see [`Session::output`]).
-    outputs: HashMap<TensorId, Tensor>,
+    /// Input tensors staged for the next run, in graph-input order (see
+    /// [`Session::input_mut`]).
+    inputs: Vec<Tensor>,
+    /// Outputs of the most recent run, in graph-output order; empty before the
+    /// first run (see [`Session::output`]).
+    outputs: Vec<Tensor>,
     /// Input shape changes staged by [`Session::resize_input`], applied by
     /// [`Session::resize_session`].
     pending_shapes: HashMap<TensorId, Shape>,
@@ -238,7 +244,7 @@ impl Session {
             cpu_index,
             plan,
             inputs,
-            outputs: HashMap::new(),
+            outputs: Vec::new(),
             pending_shapes: HashMap::new(),
             plan_cache: HashMap::new(),
             cache_hits: 0,
@@ -259,16 +265,20 @@ impl Session {
         }
     }
 
+    /// The declared shape of a graph input.
+    fn input_shape(graph: &Graph, id: TensorId) -> Result<&Shape, CoreError> {
+        graph.tensor_info(id)?.shape.as_ref().ok_or_else(|| {
+            CoreError::InvalidInput(format!("graph input {id} has no declared shape"))
+        })
+    }
+
     /// Zero-filled staged input tensors matching the graph's current input shapes.
-    fn fresh_inputs(graph: &Graph) -> Result<HashMap<TensorId, Tensor>, CoreError> {
-        let mut inputs = HashMap::new();
-        for id in graph.inputs() {
-            let shape = graph.tensor_info(*id)?.shape.clone().ok_or_else(|| {
-                CoreError::InvalidInput(format!("graph input {id} has no declared shape"))
-            })?;
-            inputs.insert(*id, Tensor::zeros(shape));
-        }
-        Ok(inputs)
+    fn fresh_inputs(graph: &Graph) -> Result<Vec<Tensor>, CoreError> {
+        graph
+            .inputs()
+            .iter()
+            .map(|id| Ok(Tensor::zeros(Self::input_shape(graph, *id)?.clone())))
+            .collect()
     }
 
     /// The pre-inference report (schemes, placements, memory, estimated cost) for

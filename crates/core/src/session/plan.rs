@@ -1,20 +1,24 @@
 //! Pre-inference: scheme selection, hybrid scheduling, memory planning and
-//! execution creation, bundled into a swappable [`ExecutionPlan`].
+//! execution creation, lowered into the dense step list of a swappable
+//! [`ExecutionPlan`].
 //!
 //! Everything here is a pure function of (graph geometry, configuration): a
 //! session re-runs it whenever its input shapes change (`resize_session`) and
-//! caches the resulting plans per shape signature.
+//! caches the resulting plans per shape signature. Whatever the run loop needs
+//! to know about a node — where its operands live, what to free afterwards,
+//! how to describe it to a profiler — is decided here, once per plan.
 
 use super::config::SessionConfig;
 use crate::cost::{hybrid_schedule, placement_cost_ms, Placement};
-use crate::memory_plan::MemoryPlan;
+use crate::memory_plan::{release_points, MemoryPlan};
 use crate::scheme::{
     quantized_fc_decision_with, select_conv_scheme_with, select_quantized_conv_scheme_with,
     SchemeDecision,
 };
 use crate::CoreError;
 use mnn_backend::{Backend, ConvScheme, Execution, ForwardType, SchemeHint};
-use mnn_graph::{Graph, NodeId, Op};
+use mnn_graph::{Graph, Node, NodeId, Op, TensorId};
+use mnn_obs::OpMeta;
 use mnn_tune::{candidates_for_node, OpSignature, Tuner};
 use std::collections::HashMap;
 use std::fmt;
@@ -153,9 +157,7 @@ impl fmt::Display for PreInferenceReport {
                 p.name,
                 p.op,
                 p.forward_type.to_string(),
-                p.scheme
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
+                scheme_label(p.scheme),
                 p.estimated_cost_ms,
                 p.measured_cost_ms
                     .map(|ms| format!("{ms:.4}"))
@@ -166,23 +168,69 @@ impl fmt::Display for PreInferenceReport {
     }
 }
 
-/// One node scheduled for execution inside a session.
-pub(super) struct ScheduledNode {
+/// A placement's scheme as reports and profiler spans show it.
+fn scheme_label(scheme: Option<ConvScheme>) -> String {
+    scheme.map_or_else(|| "-".to_string(), |s| s.to_string())
+}
+
+/// Where a step reads an activation from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Operand {
+    /// The staged graph input at this position.
+    Input(usize),
+    /// The slot written by the step at this index.
+    Slot(usize),
+}
+
+/// One node lowered for the run loop. Step `i` writes slot `i`, so the slot
+/// table of a run is as long as the step list.
+pub(super) struct Step {
     pub(super) node: NodeId,
     pub(super) backend_index: usize,
     pub(super) hint: SchemeHint,
     /// Pre-created execution when preparation is decoupled from execution.
     pub(super) execution: Option<Box<dyn Execution>>,
+    /// Activation inputs in the node's input order (constants were captured
+    /// by the execution).
+    pub(super) inputs: Vec<Operand>,
+    /// Slots whose last reader is this step, dropped once it has run.
+    pub(super) release: Vec<usize>,
+    /// How a timed run describes this step.
+    pub(super) meta: OpMeta,
 }
 
-/// Everything pre-inference produced for one input geometry: the execution order,
-/// the scheduled nodes (placements + pre-created executions), the memory plan and
-/// the report. Sessions swap whole plans on `resize_session`.
+/// Everything pre-inference produced for one input geometry: the execution
+/// order, the step list (placements, operands, release points and pre-created
+/// executions), the memory plan and the report. Sessions swap whole plans on
+/// `resize_session`.
 pub(super) struct ExecutionPlan {
     pub(super) order: Vec<NodeId>,
-    pub(super) scheduled: Vec<ScheduledNode>,
+    pub(super) steps: Vec<Step>,
+    /// Where each graph output is found after the last step, in graph-output
+    /// order.
+    pub(super) outputs: Vec<Operand>,
     pub(super) report: PreInferenceReport,
     pub(super) memory_plan: MemoryPlan,
+}
+
+/// The operand of every activation tensor: graph inputs by position, node
+/// outputs by the step that produces them. Constants and tensors nobody
+/// produces have none.
+fn operands(graph: &Graph, order: &[NodeId]) -> Result<Vec<Option<Operand>>, CoreError> {
+    let mut operand_of = vec![None; graph.tensors().len()];
+    for (position, input) in graph.inputs().iter().enumerate() {
+        graph.tensor_info(*input)?;
+        operand_of[input.0] = Some(Operand::Input(position));
+    }
+    for (step, node_id) in order.iter().enumerate() {
+        let node = graph.node(*node_id)?;
+        let output = node.outputs.first().ok_or_else(|| {
+            CoreError::InvalidInput(format!("node '{}' has no output", node.name))
+        })?;
+        graph.tensor_info(*output)?;
+        operand_of[output.0] = Some(Operand::Slot(step));
+    }
+    Ok(operand_of)
 }
 
 /// Run pre-inference for `graph` (shapes already inferred) against `backends`.
@@ -210,16 +258,31 @@ pub(super) fn build_plan(
     let placements: Vec<Placement> = hybrid_schedule(graph, &backend_refs, cpu_index);
     let estimated_total_ms = placement_cost_ms(&placements);
 
-    // --- Scheme selection (Eq. 2–3), with measured override ---------------
+    // --- Memory plan (Fig. 3) and the dataflow of the step list ------------
+    // One lifetime analysis serves both: the plan reuses a released tensor's
+    // arena region, the run loop drops its slot.
     let order = graph.topological_order()?;
-    let mut scheduled = Vec::with_capacity(order.len());
+    let releases = release_points(graph, &order)?;
+    let memory_plan = MemoryPlan::walk(graph, &order, &releases)?;
+    let operand_of = operands(graph, &order)?;
+    let operand = |id: TensorId, node: &Node| {
+        operand_of[id.0].ok_or_else(|| {
+            CoreError::InvalidInput(format!(
+                "tensor {id} required by node '{}' is not available",
+                node.name
+            ))
+        })
+    };
+
+    // --- Scheme selection (Eq. 2–3), with measured override ---------------
+    let mut steps: Vec<Step> = Vec::with_capacity(order.len());
     let mut report_placements = Vec::with_capacity(order.len());
     let mut tuned_nodes = 0usize;
     // Executions prepared as tuning winners, installed into the plan below so
     // the measured kernel (including its Winograd weight transform) is not
     // re-created.
     let mut tuned_executions: HashMap<NodeId, Box<dyn Execution>> = HashMap::new();
-    for node_id in &order {
+    for (node_id, released) in order.iter().zip(&releases) {
         let node = graph.node(*node_id)?;
         let placement = placements
             .iter()
@@ -336,37 +399,68 @@ pub(super) fn build_plan(
             conv_scheme: selected_scheme,
             threads: Some(config.threads),
         };
-        report_placements.push(NodePlacement {
-            node: *node_id,
-            name: node.name.clone(),
-            op: node.op.name(),
-            forward_type: backends[placement.backend_index].forward_type(),
-            scheme: hint.conv_scheme,
-            estimated_cost_ms: placement.cost_ms,
-            measured_cost_ms,
-        });
-        scheduled.push(ScheduledNode {
+        let forward_type = backends[placement.backend_index].forward_type();
+        let mut inputs = Vec::with_capacity(node.inputs.len());
+        for input in &node.inputs {
+            if !graph.tensor_info(*input)?.is_constant {
+                inputs.push(operand(*input, node)?);
+            }
+        }
+        let mut release = Vec::with_capacity(released.len());
+        for tensor in released {
+            // Graph inputs are never released, so only slots can turn up.
+            if let Operand::Slot(slot) = operand(*tensor, node)? {
+                release.push(slot);
+            }
+        }
+        let output_shape = graph.tensor_info(node.outputs[0])?.shape.as_ref();
+        steps.push(Step {
             node: *node_id,
             backend_index: placement.backend_index,
             hint,
             execution: None,
+            inputs,
+            release,
+            meta: OpMeta {
+                name: node.name.clone(),
+                op: node.op.name().to_string(),
+                scheme: scheme_label(hint.conv_scheme),
+                placement: forward_type.to_string(),
+                shape: output_shape.map(ToString::to_string).unwrap_or_default(),
+            },
+        });
+        report_placements.push(NodePlacement {
+            node: *node_id,
+            name: node.name.clone(),
+            op: node.op.name(),
+            forward_type,
+            scheme: hint.conv_scheme,
+            estimated_cost_ms: placement.cost_ms,
+            measured_cost_ms,
         });
     }
-
-    // --- Memory plan (Fig. 3) --------------------------------------------
-    let memory_plan = MemoryPlan::build(graph)?;
+    let outputs = graph
+        .outputs()
+        .iter()
+        .map(|id| {
+            // `release_points` has already checked that the graph knows `id`.
+            operand_of[id.0].ok_or_else(|| {
+                CoreError::InvalidInput(format!("graph output {id} was never produced"))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     // --- Preparation–execution decoupling ---------------------------------
     let mut reused_executions = 0usize;
     if config.decouple_preparation {
         // Index the previous plan's executions by node so unchanged ones move over.
-        let mut previous: HashMap<NodeId, &mut ScheduledNode> = HashMap::new();
+        let mut previous: HashMap<NodeId, &mut Step> = HashMap::new();
         if let Some(old) = reuse {
-            for entry in &mut old.scheduled {
+            for entry in &mut old.steps {
                 previous.insert(entry.node, entry);
             }
         }
-        for entry in &mut scheduled {
+        for entry in &mut steps {
             // The tuning winner was already prepared (and validated) by the
             // measurement pass; install it instead of re-creating it.
             if let Some(execution) = tuned_executions.remove(&entry.node) {
@@ -412,7 +506,8 @@ pub(super) fn build_plan(
 
     Ok(ExecutionPlan {
         order,
-        scheduled,
+        steps,
+        outputs,
         report,
         memory_plan,
     })
@@ -433,7 +528,7 @@ pub(super) fn ensure_executions(
         return Ok(0);
     }
     let mut retained = 0usize;
-    for entry in &mut plan.scheduled {
+    for entry in &mut plan.steps {
         if entry.execution.is_none() {
             let node = graph.node(entry.node)?;
             entry.execution =

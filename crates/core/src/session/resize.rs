@@ -32,7 +32,7 @@ impl Session {
     ///
     /// Returns [`CoreError::InvalidInput`] for an unknown input name.
     pub fn resize_input(&mut self, name: &str, shape: Shape) -> Result<(), CoreError> {
-        let id = self.resolve_input(name)?;
+        let id = self.graph.inputs()[self.resolve_input(name)?];
         self.pending_shapes.insert(id, shape);
         Ok(())
     }
@@ -180,17 +180,10 @@ impl Session {
 
         // Refresh staged inputs: keep tensors whose shape is unchanged, replace
         // resized ones with zero-filled tensors of the new shape.
-        for id in self.graph.inputs() {
-            let expected = self.graph.tensor_info(*id)?.shape.clone().ok_or_else(|| {
-                CoreError::InvalidInput(format!("graph input {id} has no declared shape"))
-            })?;
-            let stale = self
-                .inputs
-                .get(id)
-                .map(|t| t.shape() != &expected)
-                .unwrap_or(true);
-            if stale {
-                self.inputs.insert(*id, Tensor::zeros(expected));
+        for (id, staged) in self.graph.inputs().iter().zip(&mut self.inputs) {
+            let expected = Self::input_shape(&self.graph, *id)?;
+            if staged.shape() != expected {
+                *staged = Tensor::zeros(expected.clone());
             }
         }
         self.outputs.clear();

@@ -1,3 +1,4 @@
+use super::plan::Operand;
 use super::*;
 use crate::CoreError;
 use mnn_backend::{ConvScheme, ForwardType, GpuProfile};
@@ -567,4 +568,125 @@ fn scheme_changes_across_resize_are_visible_in_the_report() {
     // Both geometries must have selected a scheme for every convolution.
     assert!(small.iter().all(Option::is_some));
     assert!(large.iter().all(Option::is_some));
+}
+
+// ---------------------------------------------------------------------------
+// The step list
+// ---------------------------------------------------------------------------
+
+/// Walk the step list the way `execute` does and check, after every step, that
+/// the slots a run would hold are exactly the tensors whose memory-plan region
+/// is live: one lifetime analysis, two consumers.
+fn assert_slots_follow_the_memory_plan(session: &Session, what: &str) {
+    let plan = &session.plan;
+    let produced: Vec<TensorId> = plan
+        .order
+        .iter()
+        .map(|id| session.graph.node(*id).unwrap().outputs[0])
+        .collect();
+    assert_eq!(plan.steps.len(), produced.len(), "{what}");
+    let mut live = std::collections::BTreeSet::new();
+    for (index, step) in plan.steps.iter().enumerate() {
+        for operand in &step.inputs {
+            if let Operand::Slot(slot) = operand {
+                assert!(
+                    live.contains(slot),
+                    "{what}: step {index} reads dead slot {slot}"
+                );
+            }
+        }
+        live.insert(index);
+        for slot in &step.release {
+            assert!(
+                live.remove(slot),
+                "{what}: step {index} frees dead slot {slot}"
+            );
+        }
+        let planned: std::collections::BTreeSet<usize> = (0..produced.len())
+            .filter(|slot| {
+                let (from, until) = plan.memory_plan.live_range(produced[*slot]).unwrap();
+                from <= index && until.is_none_or(|last| last > index)
+            })
+            .collect();
+        assert_eq!(
+            live, planned,
+            "{what}: after step {index} ('{}')",
+            step.meta.name
+        );
+    }
+    for output in &plan.outputs {
+        if let Operand::Slot(slot) = output {
+            assert!(live.contains(slot), "{what}: output slot {slot} was freed");
+        }
+    }
+}
+
+#[test]
+fn step_list_and_memory_plan_agree_on_every_zoo_model() {
+    use mnn_models::{build, ModelKind};
+    for kind in ModelKind::PAPER_MODELS
+        .into_iter()
+        .chain([ModelKind::TinyCnn])
+    {
+        let (size, alt) = match kind {
+            ModelKind::InceptionV3 => (80, 88),
+            _ => (32, 48),
+        };
+        let interpreter = Interpreter::from_graph(build(kind, 1, size)).unwrap();
+        let mut session = interpreter.create_session(SessionConfig::cpu(1)).unwrap();
+        assert_slots_follow_the_memory_plan(&session, &format!("{kind} fresh"));
+
+        session
+            .resize_input("data", Shape::nchw(1, 3, alt, alt))
+            .unwrap();
+        session.resize_session().unwrap();
+        assert!(!session.report().from_cache);
+        assert_slots_follow_the_memory_plan(&session, &format!("{kind} resized"));
+
+        session
+            .resize_input("data", Shape::nchw(1, 3, size, size))
+            .unwrap();
+        session.resize_session().unwrap();
+        assert!(session.report().from_cache);
+        assert_slots_follow_the_memory_plan(&session, &format!("{kind} restored"));
+
+        let coupled = SessionConfig::builder().decouple_preparation(false).build();
+        let session = interpreter.create_session(coupled).unwrap();
+        assert!(session.plan.steps.iter().all(|s| s.execution.is_none()));
+        assert_slots_follow_the_memory_plan(&session, &format!("{kind} coupled"));
+    }
+}
+
+#[test]
+fn passthrough_outputs_and_repeated_operands_run() {
+    let mut b = GraphBuilder::new("degenerate");
+    let x = b.input("x", Shape::nchw(1, 2, 4, 4));
+    let y = b.activation("relu", x, ActivationKind::Relu);
+    let doubled = b.binary("doubled", y, y, BinaryKind::Add);
+    let interpreter = Interpreter::from_graph(b.build(vec![x, doubled])).unwrap();
+
+    for decouple in [true, false] {
+        let config = SessionConfig::builder()
+            .decouple_preparation(decouple)
+            .build();
+        let mut session = interpreter.create_session(config).unwrap();
+        // `relu` feeds both operands of `doubled`: read twice, freed once.
+        assert_eq!(
+            session.plan.steps[1].inputs,
+            [Operand::Slot(0), Operand::Slot(0)]
+        );
+        assert_eq!(session.plan.steps[1].release, [0]);
+        assert_slots_follow_the_memory_plan(&session, "degenerate");
+
+        let input = Tensor::from_vec(
+            Shape::nchw(1, 2, 4, 4),
+            (0..32).map(|v| v as f32 - 16.0).collect(),
+        );
+        let outputs = session.run_with(&[("x", &input)]).unwrap();
+        assert_eq!(outputs[0].data_f32(), input.data_f32(), "passthrough");
+        let expected: Vec<f32> = input.data_f32().iter().map(|v| 2.0 * v.max(0.0)).collect();
+        assert_eq!(outputs[1].data_f32(), expected);
+        assert_eq!(session.output("x").unwrap().data_f32(), input.data_f32());
+        assert_eq!(session.output("doubled").unwrap().data_f32(), expected);
+    }
 }

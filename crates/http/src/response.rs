@@ -83,8 +83,11 @@ impl HttpResponse {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        // One write for head and body: two writes on a socket leave the body
+        // queued behind Nagle until the client's delayed ACK of the head.
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        writer.write_all(&wire)?;
         writer.flush()
     }
 }

@@ -309,6 +309,10 @@ fn accept_loop(
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // Responses go out in one write, but a pipelined second small
+                // response would still wait behind Nagle for the first one's
+                // ACK. Best effort: failing only costs latency.
+                let _ = stream.set_nodelay(true);
                 if shared.active_connections.load(Ordering::SeqCst) >= shared.config.max_connections
                 {
                     reject_over_capacity(stream);

@@ -30,24 +30,22 @@ impl ClientResponse {
     }
 }
 
-/// Read exactly one HTTP response off `stream` (Content-Length framing).
+/// Read exactly one HTTP response off `stream` (Content-Length framing) and
+/// not a byte more: pipelined responses can share a segment, and whatever a
+/// larger read took past this response would be lost to the next call.
 fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResponse> {
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        if stream.read(&mut byte)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 format!("connection closed mid-response ({} bytes)", buf.len()),
             ));
         }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec())
+        buf.push(byte[0]);
+    }
+    let head = String::from_utf8(buf)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let mut lines = head.lines();
     let status_line = lines.next().unwrap_or_default();
@@ -71,18 +69,8 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResponse> {
         .and_then(|(_, v)| v.parse().ok())
         .unwrap_or(0);
 
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body)?;
     Ok(ClientResponse {
         status,
         headers,
@@ -272,6 +260,39 @@ fn keep_alive_serves_sequential_and_pipelined_requests() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+
+    server.shutdown();
+}
+
+/// A response must reach the client in one segment: written as head then
+/// body, the body sits behind Nagle until the client's delayed ACK (~40 ms on
+/// Linux) on every round trip of a keep-alive connection.
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_a_delayed_ack() {
+    let mut registry = ModelRegistry::new();
+    registry
+        .register_zoo(ModelKind::TinyCnn, 16, &tiny_options(1))
+        .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", registry, HttpConfig::default()).unwrap();
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            write_request(&mut stream, "GET", "/healthz", b"", true).unwrap();
+            assert_eq!(read_response(&mut stream).unwrap().status, 200);
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median /healthz round trip {median:?}, all: {round_trips:?}"
+    );
 
     server.shutdown();
 }

@@ -13,8 +13,9 @@
 //!
 //! * [`current`] returns the active context (used by the log facade to tag
 //!   lines with `trace_id=`, and by the profiler to stamp spans),
-//! * [`begin_op_capture`] hands the session executor an [`OpCapture`] that
-//!   records per-op spans on the *request's* timebase.
+//! * [`RunRecorder::begin`](crate::RunRecorder::begin) finds the scope's op
+//!   sink, so the session executor's per-op spans also land in the request
+//!   trace, on the *request's* timebase.
 //!
 //! When no scope is active anywhere in the process, every entry point here
 //! is a single relaxed atomic load — the same disabled-path contract the
@@ -25,7 +26,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// The identity of one request: W3C Trace Context ids plus flags.
@@ -193,9 +194,9 @@ pub struct TraceScope {
 /// Activate `ctx` on the current thread until the returned guard drops.
 ///
 /// `epoch` is the request's start instant: spans captured inside the scope
-/// (see [`begin_op_capture`]) are timed relative to it, so op spans land on
-/// the request's waterfall timebase. `ops`, when given, receives those
-/// captured spans.
+/// (see [`RunRecorder`](crate::RunRecorder)) are timed relative to it, so op
+/// spans land on the request's waterfall timebase. `ops`, when given,
+/// receives those captured spans.
 pub fn scope(
     ctx: TraceContext,
     epoch: Instant,
@@ -236,81 +237,28 @@ pub fn current_trace_id_hex() -> Option<String> {
     current().map(|ctx| ctx.trace_id_hex())
 }
 
-/// Per-run op-span capture handed to the session executor by
-/// [`begin_op_capture`]. Mirrors the profiler's `RunRecorder`, but spans are
-/// timed relative to the *request's* start and delivered to the active
-/// trace when the capture drops.
-pub struct OpCapture {
-    epoch: Instant,
-    trace_id: String,
-    sink: Arc<Mutex<Vec<SpanRecord>>>,
-    spans: Vec<SpanRecord>,
+/// Where the op spans of a run inside a trace scope go: the request's span
+/// list and the instant its waterfall counts from.
+pub(crate) struct OpSink {
+    pub(crate) epoch: Instant,
+    pub(crate) ops: Arc<Mutex<Vec<SpanRecord>>>,
 }
 
-/// Open an op capture against the active scope, or `None` when no scope
-/// with an op sink is active on this thread. One relaxed atomic load when
-/// tracing is inactive process-wide.
+/// The op sink of the scope active on this thread, if it has one. One
+/// relaxed atomic load when tracing is inactive process-wide.
 #[inline]
-pub fn begin_op_capture() -> Option<OpCapture> {
+pub(crate) fn op_sink() -> Option<OpSink> {
     if ACTIVE_SCOPES.load(Ordering::Relaxed) == 0 {
         return None;
     }
     CURRENT.with(|current| {
         let current = current.borrow();
         let scope = current.last()?;
-        let sink = scope.ops.as_ref()?;
-        Some(OpCapture {
+        Some(OpSink {
             epoch: scope.epoch,
-            trace_id: scope.ctx.trace_id_hex(),
-            sink: Arc::clone(sink),
-            spans: Vec::new(),
+            ops: Arc::clone(scope.ops.as_ref()?),
         })
     })
-}
-
-impl OpCapture {
-    /// Record one executed node. `started` is the `Instant` taken
-    /// immediately before the kernel ran; duration is measured to *now*.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_node(
-        &mut self,
-        name: &str,
-        op: &str,
-        scheme: &str,
-        placement: &str,
-        shape: &str,
-        started: Instant,
-        bytes: u64,
-    ) {
-        let dur_us = started.elapsed().as_secs_f64() * 1e6;
-        let start_us = started
-            .checked_duration_since(self.epoch)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            op: op.to_string(),
-            scheme: scheme.to_string(),
-            placement: placement.to_string(),
-            shape: shape.to_string(),
-            start_us,
-            dur_us,
-            bytes,
-            run: 0,
-            trace_id: self.trace_id.clone(),
-        });
-    }
-}
-
-impl Drop for OpCapture {
-    fn drop(&mut self) {
-        if self.spans.is_empty() {
-            return;
-        }
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.append(&mut self.spans);
-    }
 }
 
 /// Whether the `MNN_TRACE` environment variable leaves tracing enabled
@@ -329,6 +277,7 @@ pub fn env_tracing_enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OpMeta, RunRecorder};
 
     #[test]
     fn generated_contexts_are_distinct_and_nonzero() {
@@ -387,7 +336,7 @@ mod tests {
     #[test]
     fn ambient_scope_exposes_context_and_captures_ops() {
         assert!(current().is_none(), "no ambient context outside a scope");
-        assert!(begin_op_capture().is_none());
+        assert!(RunRecorder::begin(None).is_none());
 
         let ctx = TraceContext::generate();
         let epoch = Instant::now();
@@ -397,9 +346,10 @@ mod tests {
             assert_eq!(current(), Some(ctx));
             assert_eq!(current_trace_id_hex(), Some(ctx.trace_id_hex()));
 
-            let mut capture = begin_op_capture().expect("sink is attached");
+            let mut capture = RunRecorder::begin(None).expect("sink is attached");
             let t0 = Instant::now();
-            capture.record_node("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4", t0, 64);
+            let meta = OpMeta::new("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4");
+            capture.record(&meta, t0, 64);
             drop(capture);
 
             // Nested scope shadows, then restores.
@@ -407,7 +357,10 @@ mod tests {
             {
                 let _inner = scope(inner_ctx, Instant::now(), None);
                 assert_eq!(current(), Some(inner_ctx));
-                assert!(begin_op_capture().is_none(), "inner scope has no sink");
+                assert!(
+                    RunRecorder::begin(None).is_none(),
+                    "inner scope has no sink"
+                );
             }
             assert_eq!(current(), Some(ctx));
         }

@@ -57,10 +57,12 @@ pub mod resources;
 pub mod slo;
 mod trace;
 
-pub use context::{OpCapture, TraceContext, TraceScope};
+pub use context::{TraceContext, TraceScope};
 pub use log::{set_max_level, set_sink, Level, LogSink, StderrSink};
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
-pub use profile::{NodeBreakdown, OpBreakdown, ProfileReport, Profiler, RunRecorder, SpanRecord};
+pub use profile::{
+    NodeBreakdown, OpBreakdown, OpMeta, ProfileReport, Profiler, RunRecorder, SpanRecord,
+};
 pub use recorder::{ActiveTrace, BatchLink, FlightRecorder, RequestTrace, StageSpan};
 pub use resources::{AccountedBytes, BuildInfo, ResourceSnapshot, ScopeResources};
 pub use slo::{SloConfig, SloSnapshot, SloTracker};

@@ -4,15 +4,20 @@
 //! sessions producing it (`SessionConfig::builder().profiling(...)` in
 //! `mnn-core`). Each session run opens a [`RunRecorder`], which buffers one
 //! [`SpanRecord`] per executed node *locally* — the profiler's lock is taken
-//! once per run, at [`RunRecorder::finish`], never per node. When the
-//! profiler is disabled ([`Profiler::set_enabled`]) `begin_run` returns
-//! `None` and the execution loop takes no timestamps at all.
+//! once per run, at [`RunRecorder::finish`], never per node. The same
+//! recorder feeds the request trace active on the running thread (see
+//! [`crate::context::scope`]), so the executor makes one [`RunRecorder::record`]
+//! call per op whoever is listening. When the profiler is disabled
+//! ([`Profiler::set_enabled`]) and no request is being traced,
+//! [`RunRecorder::begin`] returns `None` and the execution loop takes no
+//! timestamps at all.
 //!
 //! Aggregation is incremental: per-node statistics are folded into a map at
 //! `finish`, so [`Profiler::report`] is exact over the profiler's whole
 //! lifetime even though the raw span ring kept for chrome-trace export
 //! ([`Profiler::chrome_trace`]) is bounded.
 
+use crate::context::{self, OpSink};
 use crate::trace;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -49,6 +54,36 @@ pub struct SpanRecord {
     /// 32-hex-digit id of the request trace active when the span was
     /// recorded (empty when the run was not inside a trace scope).
     pub trace_id: String,
+}
+
+/// What one scheduled op is, fixed for the lifetime of a plan: the part of a
+/// [`SpanRecord`] that pre-inference knows. Sessions build it once per plan
+/// step, so a timed run formats nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpMeta {
+    /// Node name.
+    pub name: String,
+    /// Operator type.
+    pub op: String,
+    /// Kernel scheme chosen for the node (`-` when it has none).
+    pub scheme: String,
+    /// Backend placement.
+    pub placement: String,
+    /// Output shape signature.
+    pub shape: String,
+}
+
+impl OpMeta {
+    /// Metadata for one op, in [`SpanRecord`] field order.
+    pub fn new(name: &str, op: &str, scheme: &str, placement: &str, shape: &str) -> Self {
+        OpMeta {
+            name: name.to_string(),
+            op: op.to_string(),
+            scheme: scheme.to_string(),
+            placement: placement.to_string(),
+            shape: shape.to_string(),
+        }
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -112,8 +147,9 @@ impl Profiler {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Toggle span collection. While disabled, [`Profiler::begin_run`]
-    /// returns `None` and instrumented code takes no timestamps.
+    /// Toggle span collection. While disabled, [`RunRecorder::begin`] opens
+    /// no recorder for this profiler and instrumented code takes no
+    /// timestamps on its behalf.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -122,24 +158,6 @@ impl Profiler {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Open a recorder for one session run, or `None` when disabled. The
-    /// single atomic load here is the entire disabled-path cost.
-    ///
-    /// When a request trace scope is active on the calling thread (see
-    /// [`crate::context::scope`]), every span of the run is stamped with
-    /// its trace id, keying the profiler ring by request.
-    pub fn begin_run(self: &Arc<Self>) -> Option<RunRecorder> {
-        if !self.is_enabled() {
-            return None;
-        }
-        Some(RunRecorder {
-            profiler: Arc::clone(self),
-            run_start: Instant::now(),
-            trace_id: crate::context::current_trace_id_hex().unwrap_or_default(),
-            spans: Vec::new(),
-        })
     }
 
     /// Number of completed runs recorded.
@@ -225,61 +243,83 @@ impl Profiler {
     }
 }
 
-/// Per-run span buffer handed out by [`Profiler::begin_run`]. Records locally
-/// and folds into the profiler once, on [`RunRecorder::finish`].
+/// Microseconds from `epoch` to `at` (zero when `at` is earlier).
+fn micros_since(epoch: Instant, at: Instant) -> f64 {
+    at.checked_duration_since(epoch)
+        .unwrap_or_default()
+        .as_secs_f64()
+        * 1e6
+}
+
+/// Per-run span buffer opened by [`RunRecorder::begin`]. Records locally;
+/// profiler spans fold into the profiler once, on [`RunRecorder::finish`],
+/// and request spans reach the active trace when the recorder drops (so a
+/// failed run still shows the ops that ran).
 pub struct RunRecorder {
-    profiler: Arc<Profiler>,
     run_start: Instant,
     trace_id: String,
-    spans: Vec<SpanRecord>,
+    /// The enabled profiler and its spans, on the profiler's timebase.
+    profiler: Option<(Arc<Profiler>, Vec<SpanRecord>)>,
+    /// The active request's op sink and its spans, on the request's timebase.
+    request: Option<(OpSink, Vec<SpanRecord>)>,
 }
 
 impl RunRecorder {
-    /// Record one executed node. `started` is the `Instant` taken immediately
+    /// Open a recorder for one session run: for `profiler` when it is
+    /// enabled, and for the request trace active on the calling thread when
+    /// it collects op spans. `None` when neither is listening — two relaxed
+    /// atomic loads are the entire disabled-path cost.
+    ///
+    /// Every span of the run is stamped with the active trace id, keying the
+    /// profiler ring by request.
+    pub fn begin(profiler: Option<&Arc<Profiler>>) -> Option<RunRecorder> {
+        let profiler = profiler.filter(|p| p.is_enabled());
+        let request = context::op_sink();
+        if profiler.is_none() && request.is_none() {
+            return None;
+        }
+        Some(RunRecorder {
+            run_start: Instant::now(),
+            trace_id: context::current_trace_id_hex().unwrap_or_default(),
+            profiler: profiler.map(|p| (Arc::clone(p), Vec::new())),
+            request: request.map(|sink| (sink, Vec::new())),
+        })
+    }
+
+    /// Record one executed op. `started` is the `Instant` taken immediately
     /// before the kernel ran; duration is measured to *now*, so call this
     /// right after the kernel returns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_node(
-        &mut self,
-        name: &str,
-        op: &str,
-        scheme: &str,
-        placement: &str,
-        shape: &str,
-        started: Instant,
-        bytes: u64,
-    ) {
+    pub fn record(&mut self, meta: &OpMeta, started: Instant, bytes: u64) {
         let dur_us = started.elapsed().as_secs_f64() * 1e6;
-        let start_us = started
-            .checked_duration_since(self.profiler.epoch)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            op: op.to_string(),
-            scheme: scheme.to_string(),
-            placement: placement.to_string(),
-            shape: shape.to_string(),
-            start_us,
+        let span = |epoch: Instant| SpanRecord {
+            name: meta.name.clone(),
+            op: meta.op.clone(),
+            scheme: meta.scheme.clone(),
+            placement: meta.placement.clone(),
+            shape: meta.shape.clone(),
+            start_us: micros_since(epoch, started),
             dur_us,
             bytes,
             run: 0, // assigned at finish()
             trace_id: self.trace_id.clone(),
-        });
+        };
+        if let Some((profiler, spans)) = &mut self.profiler {
+            spans.push(span(profiler.epoch));
+        }
+        if let Some((sink, spans)) = &mut self.request {
+            spans.push(span(sink.epoch));
+        }
     }
 
     /// Close the run: computes the whole-run span and folds everything into
     /// the profiler under one lock acquisition.
-    pub fn finish(self) {
+    pub fn finish(mut self) {
+        let Some((profiler, spans)) = self.profiler.take() else {
+            return;
+        };
         let run_dur_us = self.run_start.elapsed().as_secs_f64() * 1e6;
-        let run_start_us = self
-            .run_start
-            .checked_duration_since(self.profiler.epoch)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        let mut inner = self.profiler.lock();
+        let run_start_us = micros_since(profiler.epoch, self.run_start);
+        let mut inner = profiler.lock();
         let run_index = inner.runs;
         inner.runs += 1;
         inner.run_us += run_dur_us;
@@ -298,7 +338,7 @@ impl RunRecorder {
                 trace_id: self.trace_id.clone(),
             },
         );
-        for mut span in self.spans {
+        for mut span in spans {
             span.run = run_index;
             inner.node_us += span.dur_us;
             let stat = inner.nodes.entry(span.name.clone()).or_default();
@@ -315,6 +355,17 @@ impl RunRecorder {
             stat.max_us = stat.max_us.max(span.dur_us);
             stat.bytes = stat.bytes.saturating_add(span.bytes);
             push_span(&mut inner.spans, span);
+        }
+    }
+}
+
+impl Drop for RunRecorder {
+    fn drop(&mut self) {
+        if let Some((sink, mut spans)) = self.request.take() {
+            if !spans.is_empty() {
+                let mut ops = sink.ops.lock().unwrap_or_else(PoisonError::into_inner);
+                ops.append(&mut spans);
+            }
         }
     }
 }
@@ -452,11 +503,12 @@ mod tests {
     }
 
     fn record_run(profiler: &Arc<Profiler>, node_ms: &[(&str, &str, u64)]) {
-        let mut rec = profiler.begin_run().expect("enabled");
+        let mut rec = RunRecorder::begin(Some(profiler)).expect("enabled");
         for (name, op, ms) in node_ms {
             let t0 = Instant::now();
             spin(Duration::from_millis(*ms));
-            rec.record_node(name, op, "direct", "cpu-f32", "1x8x4x4", t0, 128);
+            let meta = OpMeta::new(name, op, "direct", "cpu-f32", "1x8x4x4");
+            rec.record(&meta, t0, 128);
         }
         rec.finish();
     }
@@ -465,9 +517,9 @@ mod tests {
     fn disabled_profiler_returns_no_recorder() {
         let profiler = Arc::new(Profiler::new());
         profiler.set_enabled(false);
-        assert!(profiler.begin_run().is_none());
+        assert!(RunRecorder::begin(Some(&profiler)).is_none());
         profiler.set_enabled(true);
-        assert!(profiler.begin_run().is_some());
+        assert!(RunRecorder::begin(Some(&profiler)).is_some());
     }
 
     #[test]

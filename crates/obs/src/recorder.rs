@@ -722,16 +722,9 @@ mod tests {
         );
         {
             let _scope = trace.enter();
-            let mut capture = crate::context::begin_op_capture().unwrap();
-            capture.record_node(
-                "conv1",
-                "conv2d",
-                "direct",
-                "cpu-f32",
-                "1x8x4x4",
-                Instant::now(),
-                64,
-            );
+            let mut capture = crate::RunRecorder::begin(None).unwrap();
+            let meta = crate::OpMeta::new("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4");
+            capture.record(&meta, Instant::now(), 64);
         }
         trace.finish(200);
 
@@ -756,10 +749,11 @@ mod tests {
         trace.add_stage("parse", 0, start, Instant::now());
         {
             let _scope = trace.enter();
-            let mut capture = crate::context::begin_op_capture().unwrap();
+            let mut capture = crate::RunRecorder::begin(None).unwrap();
             let t0 = Instant::now();
             spin(Duration::from_millis(1));
-            capture.record_node("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4", t0, 64);
+            let meta = crate::OpMeta::new("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4");
+            capture.record(&meta, t0, 64);
         }
         trace.finish(200);
 

@@ -96,11 +96,12 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_spans_nest() {
         let profiler = Arc::new(Profiler::new());
-        let mut rec = profiler.begin_run().unwrap();
+        let mut rec = crate::RunRecorder::begin(Some(&profiler)).unwrap();
         for name in ["conv1", "act1"] {
             let t0 = Instant::now();
             spin(Duration::from_millis(2));
-            rec.record_node(name, "conv2d", "winograd", "cpu-f32", "1x8x4x4", t0, 64);
+            let meta = crate::OpMeta::new(name, "conv2d", "winograd", "cpu-f32", "1x8x4x4");
+            rec.record(&meta, t0, 64);
         }
         rec.finish();
 

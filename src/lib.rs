@@ -8,8 +8,8 @@
 //!   convolution, pooling, activations, quantized ops.
 //! * [`graph`] — the computational-graph IR and builder.
 //! * [`converter`] — offline conversion: model format, graph optimizer, quantizer.
-//! * [`backend`] — the `Backend` abstraction, memory pool, CPU backend and simulated
-//!   GPU backends.
+//! * [`backend`] — the `Backend` abstraction, static memory planner, CPU backend and
+//!   simulated GPU backends.
 //! * [`core`] — pre-inference (scheme selection, backend cost evaluation, memory
 //!   planning), the `Interpreter`/`Session` API and hybrid scheduling.
 //! * [`models`] — the model zoo (MobileNet, SqueezeNet, ResNet, Inception-v3).
@@ -28,7 +28,12 @@
 //! An [`Interpreter`] validates a graph, infers its shapes and holds it behind an
 //! `Arc`. [`Interpreter::create_session`] runs **pre-inference** (paper Fig. 2) —
 //! per-convolution scheme selection, hybrid backend scheduling and the static
-//! memory plan — and returns an **owned** [`Session`]: it shares the weights with
+//! memory plan — and lowers the result once into a dense step list: each step
+//! owns its prepared execution, the slots it reads, the slots to free after it
+//! (from the same lifetime analysis the memory plan uses) and the metadata a
+//! profiler span needs. A run is then a straight loop over that list against a
+//! slot table; it looks nothing up and formats nothing. The call returns an
+//! **owned** [`Session`]: it shares the weights with
 //! the interpreter, may outlive it, and is `Send`, so worker threads can each own
 //! one. Configure sessions with the [`SessionConfig::builder`]; address tensors by
 //! name; resize inputs dynamically with `resize_input` + `resize_session`:

@@ -11,12 +11,19 @@
 //! * and behave identically on a fresh session and after a
 //!   `resize_input` + `resize_session` round-trip (bit-identical to the fresh
 //!   quantized run, since the geometry ends where it started).
+//!
+//! Both graphs also go through every way a session can come to run its step
+//! list — fresh, resized, restored from the plan cache, with preparation left
+//! in the run loop, and profiled — and each must reproduce the fresh run bit
+//! for bit, with profiler spans that say what the plan report says.
 
 use mnn::backend::ConvScheme;
 use mnn::converter::{optimize, quantize_weights, OptimizerOptions};
 use mnn::models::{build, ModelKind};
+use mnn::obs::Profiler;
 use mnn::tensor::{DataType, Shape, Tensor};
 use mnn::{Interpreter, Session, SessionConfig};
+use std::sync::Arc;
 
 /// (model, resolution used by the suite, alternate resolution for the resize
 /// round-trip). Resolutions are reduced so the debug-mode test binary stays
@@ -72,11 +79,96 @@ fn top1(t: &Tensor) -> usize {
         .unwrap()
 }
 
-fn session(graph: mnn::Graph) -> Session {
+fn session_with(graph: mnn::Graph, config: SessionConfig) -> Session {
     Interpreter::from_graph(graph)
         .expect("interpreter")
-        .create_session(SessionConfig::cpu(4))
+        .create_session(config)
         .expect("session")
+}
+
+fn session(graph: mnn::Graph) -> Session {
+    session_with(graph, SessionConfig::cpu(4))
+}
+
+/// `graph` with its input re-declared at `size` px.
+fn at_size(graph: &mnn::Graph, size: usize) -> mnn::Graph {
+    let mut graph = graph.clone();
+    let data = graph.inputs()[0];
+    graph
+        .set_input_shape(data, Shape::nchw(1, 3, size, size))
+        .unwrap();
+    graph
+}
+
+/// The session variants that share nothing with `fresh` but the graph: one
+/// that prepares every node inside the run loop and one with a profiler
+/// attached. Both must reproduce `expected` bit for bit, and the profiler must
+/// describe every node the way the plan report and the graph do.
+fn assert_coupled_and_profiled_runs_match(
+    kind: ModelKind,
+    graph: &mnn::Graph,
+    input: &Tensor,
+    expected: &Tensor,
+) {
+    let coupled = SessionConfig::builder()
+        .threads(4)
+        .decouple_preparation(false)
+        .build();
+    let out = session_with(graph.clone(), coupled)
+        .run_with(&[("data", input)])
+        .unwrap();
+    assert_eq!(
+        out[0].data_f32(),
+        expected.data_f32(),
+        "{kind}: preparing inside the run loop changed bits"
+    );
+
+    let profiler = Arc::new(Profiler::new());
+    let profiled = SessionConfig::builder()
+        .threads(4)
+        .profiling(Arc::clone(&profiler))
+        .build();
+    let mut profiled = session_with(graph.clone(), profiled);
+    let out = profiled.run_with(&[("data", input)]).unwrap();
+    assert_eq!(
+        out[0].data_f32(),
+        expected.data_f32(),
+        "{kind}: profiling changed bits"
+    );
+
+    let report = profiler.report();
+    assert_eq!(report.runs, 1);
+    assert_eq!(report.nodes.len(), profiled.report().placements.len());
+    let graph = profiled.graph();
+    let f32_bytes = |id: &mnn::graph::TensorId| {
+        let info = graph.tensor_info(*id).unwrap();
+        (!info.is_constant).then(|| info.shape.as_ref().unwrap().num_elements() as u64 * 4)
+    };
+    for placement in &profiled.report().placements {
+        let node = graph.node(placement.node).unwrap();
+        let span = report
+            .nodes
+            .iter()
+            .find(|n| n.name == placement.name)
+            .unwrap_or_else(|| panic!("{kind}: no span for node '{}'", placement.name));
+        let output = graph.tensor_info(node.outputs[0]).unwrap();
+        assert_eq!(span.count, 1);
+        assert_eq!(span.op, placement.op);
+        assert_eq!(
+            span.scheme,
+            placement.scheme.map_or("-".to_string(), |s| s.to_string())
+        );
+        assert_eq!(span.placement, placement.forward_type.to_string());
+        assert_eq!(span.shape, output.shape.as_ref().unwrap().to_string());
+        // Activations read plus the output written; weights are not traffic.
+        let bytes: u64 = node
+            .inputs
+            .iter()
+            .chain(&node.outputs)
+            .filter_map(f32_bytes)
+            .sum();
+        assert_eq!(span.bytes, bytes, "{kind}: bytes of '{}'", placement.name);
+    }
 }
 
 fn assert_model_conformance(kind: ModelKind, size: usize, alt_size: usize) {
@@ -135,17 +227,39 @@ fn assert_model_conformance(kind: ModelKind, size: usize, alt_size: usize) {
         "{kind}: top-1 disagrees between float and quantized runs"
     );
 
-    // --- After a resize round-trip ---------------------------------------
+    // --- Preparation inside the run loop, and a profiled run ----------------
+    assert_coupled_and_profiled_runs_match(kind, float_session.graph(), &input, &float_out[0]);
+    assert_coupled_and_profiled_runs_match(kind, quant_session.graph(), &input, &quant_out[0]);
+
+    // --- Resized: a session moved to another geometry is a fresh one there --
+    let alt_input = deterministic_input(Shape::nchw(1, 3, alt_size, alt_size), 43);
     for s in [&mut float_session, &mut quant_session] {
+        let fresh_alt = session(at_size(s.graph(), alt_size))
+            .run_with(&[("data", &alt_input)])
+            .unwrap();
         s.resize_input("data", Shape::nchw(1, 3, alt_size, alt_size))
             .unwrap();
         s.resize_session().unwrap();
+        assert!(!s.report().from_cache);
+        let resized = s.run_with(&[("data", &alt_input)]).unwrap();
+        assert_eq!(
+            resized[0].data_f32(),
+            fresh_alt[0].data_f32(),
+            "{kind}: a resized session disagrees with a fresh one at {alt_size} px"
+        );
+        // --- and back: the first geometry's plan comes out of the cache -----
         s.resize_input("data", Shape::nchw(1, 3, size, size))
             .unwrap();
         s.resize_session().unwrap();
+        assert!(s.report().from_cache);
     }
     let float_rt = float_session.run_with(&[("data", &input)]).unwrap();
     let quant_rt = quant_session.run_with(&[("data", &input)]).unwrap();
+    assert_eq!(
+        float_rt[0].data_f32(),
+        float_out[0].data_f32(),
+        "{kind}: float outputs changed bits across a resize round-trip"
+    );
     assert_eq!(
         quant_rt[0].data_f32(),
         quant_out[0].data_f32(),
