@@ -18,11 +18,14 @@ pub const DEFAULT_FLOPS_PER_THREAD: f64 = 2.0e9;
 /// The real CPU backend.
 ///
 /// Executes every operator with the kernels from `mnn-kernels`, using up to
-/// `threads` worker threads for the heavy ones (convolution / GEMM).
+/// `threads` worker threads for the heavy ones (convolution / GEMM). Every
+/// execution it creates runs on the instruction set detected for this process
+/// ([`KernelBackend::active`]): the scheme picks the algorithm, never the ISA.
 #[derive(Debug)]
 pub struct CpuBackend {
     threads: usize,
     flops: f64,
+    kernel_backend: KernelBackend,
 }
 
 impl CpuBackend {
@@ -32,6 +35,7 @@ impl CpuBackend {
         CpuBackend {
             threads,
             flops: DEFAULT_FLOPS_PER_THREAD * threads as f64,
+            kernel_backend: KernelBackend::active(),
         }
     }
 
@@ -45,6 +49,10 @@ impl CpuBackend {
     /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    fn threads_for(&self, hint: &SchemeHint) -> usize {
+        hint.threads.unwrap_or(self.threads)
     }
 
     fn constant(graph: &Graph, id: TensorId, what: &str) -> Result<Arc<Tensor>, BackendError> {
@@ -124,19 +132,17 @@ impl Backend for CpuBackend {
         graph: &Graph,
         hint: &SchemeHint,
     ) -> Result<Box<dyn Execution>, BackendError> {
-        let threads = hint.threads.unwrap_or(self.threads);
+        let threads = self.threads_for(hint);
         match &node.op {
-            Op::Conv2d(attrs) => {
-                create_conv(node, graph, attrs, ActivationKind::None, hint, threads)
-            }
+            Op::Conv2d(attrs) => self.create_conv(node, graph, attrs, ActivationKind::None, hint),
             Op::Conv2dFused { attrs, activation } => {
-                create_conv(node, graph, attrs, *activation, hint, threads)
+                self.create_conv(node, graph, attrs, *activation, hint)
             }
             Op::Conv2dQuantized {
                 attrs,
                 activation,
                 quant,
-            } => create_conv_quantized(node, graph, attrs, *activation, quant, hint, threads),
+            } => self.create_conv_quantized(node, graph, attrs, *activation, quant, hint),
             Op::Pool(attrs) => Ok(Box::new(PoolExec {
                 params: attrs.to_pool_params(),
             })),
@@ -177,6 +183,7 @@ impl Backend for CpuBackend {
                     None
                 };
                 Ok(Box::new(FullyConnectedExec {
+                    kernel_backend: self.kernel_backend,
                     weight,
                     bias,
                     in_features: *in_features,
@@ -227,139 +234,116 @@ impl Backend for CpuBackend {
     }
 }
 
-fn create_conv(
-    node: &Node,
-    graph: &Graph,
-    attrs: &Conv2dAttrs,
-    fused: ActivationKind,
-    hint: &SchemeHint,
-    threads: usize,
-) -> Result<Box<dyn Execution>, BackendError> {
-    let weight = CpuBackend::constant(graph, node.inputs[1], "conv weight")?;
-    let bias = if attrs.has_bias {
-        Some(CpuBackend::constant(graph, node.inputs[2], "conv bias")?)
-    } else {
-        None
-    };
-    let params = attrs.to_conv_params();
-    let scheme = hint
-        .conv_scheme
-        .unwrap_or_else(|| CpuBackend::default_conv_scheme(&params));
-    build_float_conv_exec(params, scheme, weight, bias, fused, threads)
-}
-
-/// Convolution over int8 weights. The integer scheme captures the i8 weights
-/// directly; any `f32` scheme (e.g. the deterministic depthwise fallback)
-/// dequantizes the weights **once**, at preparation time, so the per-run cost of
-/// the fallback is identical to a float convolution.
-fn create_conv_quantized(
-    node: &Node,
-    graph: &Graph,
-    attrs: &Conv2dAttrs,
-    fused: ActivationKind,
-    quant: &QuantAttrs,
-    hint: &SchemeHint,
-    threads: usize,
-) -> Result<Box<dyn Execution>, BackendError> {
-    let weight = CpuBackend::constant(graph, node.inputs[1], "quantized conv weight")?;
-    let weight_q = weight.try_data_i8().map_err(|_| {
-        BackendError::InvalidTensor(format!(
-            "quantized convolution '{}' expects an i8 weight constant, got {}",
-            node.name,
-            weight.data_type()
-        ))
-    })?;
-    let params = attrs.to_conv_params();
-    if quant.weight_scales.len() != params.out_channels {
-        return Err(BackendError::InvalidTensor(format!(
-            "quantized convolution '{}' has {} weight scales for {} output channels",
-            node.name,
-            quant.weight_scales.len(),
-            params.out_channels
-        )));
+impl CpuBackend {
+    fn create_conv(
+        &self,
+        node: &Node,
+        graph: &Graph,
+        attrs: &Conv2dAttrs,
+        fused: ActivationKind,
+        hint: &SchemeHint,
+    ) -> Result<Box<dyn Execution>, BackendError> {
+        let weight = Self::constant(graph, node.inputs[1], "conv weight")?;
+        let bias = if attrs.has_bias {
+            Some(Self::constant(graph, node.inputs[2], "conv bias")?)
+        } else {
+            None
+        };
+        let params = attrs.to_conv_params();
+        let scheme = hint
+            .conv_scheme
+            .unwrap_or_else(|| Self::default_conv_scheme(&params));
+        self.build_float_conv_exec(params, scheme, weight, bias, fused, hint)
     }
-    let bias = if attrs.has_bias {
-        Some(CpuBackend::constant(graph, node.inputs[2], "conv bias")?)
-    } else {
-        None
-    };
-    let scheme = hint
-        .conv_scheme
-        .unwrap_or_else(|| CpuBackend::default_quantized_conv_scheme(&params));
-    if matches!(
-        scheme,
-        ConvScheme::QuantizedGemm | ConvScheme::QuantizedGemmSimd
-    ) {
-        let kernel_backend = kernel_backend_for(scheme)?;
-        return Ok(Box::new(QuantConvExec {
+
+    /// Convolution over int8 weights. The integer scheme captures the i8 weights
+    /// directly; any `f32` scheme (e.g. the deterministic depthwise fallback)
+    /// dequantizes the weights **once**, at preparation time, so the per-run cost of
+    /// the fallback is identical to a float convolution.
+    fn create_conv_quantized(
+        &self,
+        node: &Node,
+        graph: &Graph,
+        attrs: &Conv2dAttrs,
+        fused: ActivationKind,
+        quant: &QuantAttrs,
+        hint: &SchemeHint,
+    ) -> Result<Box<dyn Execution>, BackendError> {
+        let weight = Self::constant(graph, node.inputs[1], "quantized conv weight")?;
+        let weight_q = weight.try_data_i8().map_err(|_| {
+            BackendError::InvalidTensor(format!(
+                "quantized convolution '{}' expects an i8 weight constant, got {}",
+                node.name,
+                weight.data_type()
+            ))
+        })?;
+        let params = attrs.to_conv_params();
+        if quant.weight_scales.len() != params.out_channels {
+            return Err(BackendError::InvalidTensor(format!(
+                "quantized convolution '{}' has {} weight scales for {} output channels",
+                node.name,
+                quant.weight_scales.len(),
+                params.out_channels
+            )));
+        }
+        let bias = if attrs.has_bias {
+            Some(Self::constant(graph, node.inputs[2], "conv bias")?)
+        } else {
+            None
+        };
+        let scheme = hint
+            .conv_scheme
+            .unwrap_or_else(|| Self::default_quantized_conv_scheme(&params));
+        if scheme == ConvScheme::QuantizedGemm {
+            return Ok(Box::new(QuantConvExec {
+                params,
+                kernel_backend: self.kernel_backend,
+                weight,
+                scales: quant.weight_scales.clone(),
+                bias,
+                activation: fused.to_kernel(),
+                threads: self.threads_for(hint),
+            }));
+        }
+        // f32 fallback: dequantize the weights once and run the float kernels.
+        let dequantized = quant::dequantize_per_channel(weight_q, &quant.weight_scales);
+        let weight_f32 = Arc::new(Tensor::from_vec(weight.shape().clone(), dequantized));
+        self.build_float_conv_exec(params, scheme, weight_f32, bias, fused, hint)
+    }
+
+    fn build_float_conv_exec(
+        &self,
+        params: ConvParams,
+        scheme: ConvScheme,
+        weight: Arc<Tensor>,
+        bias: Option<Arc<Tensor>>,
+        fused: ActivationKind,
+        hint: &SchemeHint,
+    ) -> Result<Box<dyn Execution>, BackendError> {
+        if scheme == ConvScheme::QuantizedGemm {
+            return Err(BackendError::InvalidTensor(
+                "the quantized-gemm scheme requires i8 weights (float convolution given)".into(),
+            ));
+        }
+        let prepared = match scheme {
+            ConvScheme::Winograd { tile } => Some(winograd::prepare_winograd_weights(
+                &params,
+                tile,
+                weight.data_f32(),
+            )),
+            _ => None,
+        };
+        Ok(Box::new(ConvExec {
             params,
             scheme,
-            kernel_backend,
+            kernel_backend: self.kernel_backend,
             weight,
-            scales: quant.weight_scales.clone(),
             bias,
+            prepared,
             activation: fused.to_kernel(),
-            threads,
-        }));
+            threads: self.threads_for(hint),
+        }))
     }
-    // f32 fallback: dequantize the weights once and run the float kernels.
-    let dequantized = quant::dequantize_per_channel(weight_q, &quant.weight_scales);
-    let weight_f32 = Arc::new(Tensor::from_vec(weight.shape().clone(), dequantized));
-    build_float_conv_exec(params, scheme, weight_f32, bias, fused, threads)
-}
-
-/// Resolve the kernel backend `scheme` dispatches to. SIMD schemes require
-/// the host's active kernel backend to be vectorized; otherwise `on_create`
-/// fails here, which makes the tuner skip the candidate and lets stale cache
-/// entries from a SIMD host degrade to re-tuning instead of mis-dispatching.
-fn kernel_backend_for(scheme: ConvScheme) -> Result<KernelBackend, BackendError> {
-    if !scheme.is_simd() {
-        return Ok(KernelBackend::Scalar);
-    }
-    let active = KernelBackend::active();
-    if active.is_simd() {
-        Ok(active)
-    } else {
-        Err(BackendError::UnavailableScheme {
-            scheme: scheme.to_string(),
-            kernel_set: active.name().to_string(),
-        })
-    }
-}
-
-fn build_float_conv_exec(
-    params: ConvParams,
-    scheme: ConvScheme,
-    weight: Arc<Tensor>,
-    bias: Option<Arc<Tensor>>,
-    fused: ActivationKind,
-    threads: usize,
-) -> Result<Box<dyn Execution>, BackendError> {
-    if matches!(
-        scheme,
-        ConvScheme::QuantizedGemm | ConvScheme::QuantizedGemmSimd
-    ) {
-        return Err(BackendError::InvalidTensor(
-            "the quantized-gemm scheme requires i8 weights (float convolution given)".into(),
-        ));
-    }
-    let kernel_backend = kernel_backend_for(scheme)?;
-    let prepared = match scheme {
-        ConvScheme::Winograd { tile } | ConvScheme::WinogradSimd { tile } => Some(
-            winograd::prepare_winograd_weights(&params, tile, weight.data_f32()),
-        ),
-        _ => None,
-    };
-    Ok(Box::new(ConvExec {
-        params,
-        scheme,
-        kernel_backend,
-        weight,
-        bias,
-        prepared,
-        activation: fused.to_kernel(),
-        threads,
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -370,8 +354,6 @@ fn build_float_conv_exec(
 struct ConvExec {
     params: ConvParams,
     scheme: ConvScheme,
-    /// `Scalar` for scalar schemes; the host's active SIMD backend for `*Simd`
-    /// schemes (validated at creation time by `kernel_backend_for`).
     kernel_backend: KernelBackend,
     weight: Arc<Tensor>,
     bias: Option<Arc<Tensor>>,
@@ -398,25 +380,16 @@ impl Execution for ConvExec {
         let w = self.weight.data_f32();
         let empty: &[f32] = &[];
         let b = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
+        let (kb, params, threads) = (self.kernel_backend, &self.params, self.threads);
         let mut result = match self.scheme {
+            // The direct kernel has no vector form.
             ConvScheme::SlidingWindow => {
-                conv::conv2d_sliding_window(&self.params, self.threads, batch, in_h, in_w, x, w, b)
+                conv::conv2d_sliding_window(params, threads, batch, in_h, in_w, x, w, b)
             }
             ConvScheme::Im2col => {
-                conv::conv2d_im2col(&self.params, self.threads, batch, in_h, in_w, x, w, b)
+                conv::conv2d_im2col_with(kb, params, threads, batch, in_h, in_w, x, w, b)
             }
-            ConvScheme::Im2colSimd => conv::conv2d_im2col_with(
-                self.kernel_backend,
-                &self.params,
-                self.threads,
-                batch,
-                in_h,
-                in_w,
-                x,
-                w,
-                b,
-            ),
-            ConvScheme::Winograd { tile } | ConvScheme::WinogradSimd { tile } => {
+            ConvScheme::Winograd { tile } => {
                 // `create_conv` always prepares weights for the selected tile; a
                 // mismatch is a programming error. Do NOT silently re-transform
                 // here — that would hide the per-run cost that preparation
@@ -427,35 +400,16 @@ impl Execution for ConvExec {
                     .filter(|p| p.tile() == tile)
                     .expect("Winograd execution created without matching prepared weights");
                 winograd::conv2d_winograd_prepared_with(
-                    self.kernel_backend,
-                    &self.params,
-                    prepared,
-                    self.threads,
-                    batch,
-                    in_h,
-                    in_w,
-                    x,
-                    b,
+                    kb, params, prepared, threads, batch, in_h, in_w, x, b,
                 )
             }
             ConvScheme::Strassen1x1 => {
-                conv::conv2d_1x1_strassen(&self.params, batch, in_h, in_w, x, w, b)
+                conv::conv2d_1x1_strassen_with(kb, params, threads, batch, in_h, in_w, x, w, b)
             }
             ConvScheme::Depthwise => {
-                conv::conv2d_depthwise(&self.params, self.threads, batch, in_h, in_w, x, w, b)
+                conv::conv2d_depthwise_with(kb, params, threads, batch, in_h, in_w, x, w, b)
             }
-            ConvScheme::DepthwiseSimd => conv::conv2d_depthwise_with(
-                self.kernel_backend,
-                &self.params,
-                self.threads,
-                batch,
-                in_h,
-                in_w,
-                x,
-                w,
-                b,
-            ),
-            ConvScheme::QuantizedGemm | ConvScheme::QuantizedGemmSimd => {
+            ConvScheme::QuantizedGemm => {
                 // Float executions are never created with the integer scheme
                 // (`build_float_conv_exec` rejects it).
                 return Err(BackendError::InvalidTensor(
@@ -481,9 +435,7 @@ impl Execution for ConvExec {
 /// creation, activations quantized per sample at run time, `i32` accumulation.
 struct QuantConvExec {
     params: ConvParams,
-    scheme: ConvScheme,
-    /// `Scalar` for `QuantizedGemm`, the host's active SIMD backend for
-    /// `QuantizedGemmSimd`. Both produce identical bits (exact `i32` math).
+    /// Every kernel set produces identical bits here (exact `i32` math).
     kernel_backend: KernelBackend,
     weight: Arc<Tensor>,
     scales: Vec<f32>,
@@ -531,7 +483,9 @@ impl Execution for QuantConvExec {
     fn describe(&self) -> String {
         format!(
             "conv {}x{} via {} (int8)",
-            self.params.kernel_h, self.params.kernel_w, self.scheme
+            self.params.kernel_h,
+            self.params.kernel_w,
+            ConvScheme::QuantizedGemm
         )
     }
 }
@@ -732,6 +686,7 @@ impl Execution for ScaleExec {
 }
 
 struct FullyConnectedExec {
+    kernel_backend: KernelBackend,
     weight: Arc<Tensor>,
     bias: Option<Arc<Tensor>>,
     in_features: usize,
@@ -753,7 +708,8 @@ impl Execution for FullyConnectedExec {
         let batch = total / self.in_features;
         let empty: &[f32] = &[];
         let bias = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
-        let data = fc::fully_connected(
+        let data = fc::fully_connected_with(
+            self.kernel_backend,
             self.threads,
             batch,
             self.in_features,
@@ -845,46 +801,134 @@ mod tests {
         out
     }
 
+    fn pseudo_random(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+            })
+            .collect()
+    }
+
+    /// Every algorithm a convolution can be planned with — the float pool
+    /// and, over int8 weights, the integer kernel plus the float pool (what
+    /// `mnn_converter::quantized_conv_candidates` enumerates) — through
+    /// `on_create` on the host's kernel set, against the naive reference.
+    /// The grid crosses the vector kernels' remainder lanes (1/7/9/17
+    /// channels, odd widths), stride 2, 1×1, 5×5 and depthwise.
     #[test]
     fn conv_execution_matches_reference_for_every_scheme() {
-        let mut b = GraphBuilder::new("conv");
-        let x = b.input("x", Shape::nchw(1, 3, 12, 12));
-        let y = b.conv2d_auto("conv", x, Conv2dAttrs::same_3x3(3, 8), true);
-        let g = b.build(vec![y]);
+        let grid = [
+            (Conv2dAttrs::same_3x3(1, 7), 9, 11),
+            (Conv2dAttrs::same_3x3(7, 9), 13, 10),
+            (Conv2dAttrs::same_3x3(17, 9), 8, 17),
+            (Conv2dAttrs::square(9, 17, 3, 2, 1), 15, 11),
+            (Conv2dAttrs::pointwise(17, 7), 7, 9),
+            (Conv2dAttrs::square(7, 1, 5, 1, 2), 11, 13),
+            (Conv2dAttrs::depthwise_3x3(9, 1), 12, 17),
+            (Conv2dAttrs::depthwise_3x3(17, 2), 13, 9),
+        ];
         let backend = CpuBackend::new(2);
+        for (case, (attrs, in_h, in_w)) in grid.into_iter().enumerate() {
+            let attrs = attrs.with_bias();
+            let params = attrs.to_conv_params();
+            let seed = 100 * case as u64;
+            let input_shape = Shape::nchw(1, attrs.in_channels, in_h, in_w);
+            let input = Tensor::from_vec(
+                input_shape.clone(),
+                pseudo_random(input_shape.num_elements(), seed + 1),
+            );
+            let weight_shape = Shape::new(vec![
+                attrs.out_channels,
+                attrs.in_channels / attrs.groups,
+                attrs.kernel.0,
+                attrs.kernel.1,
+            ]);
+            let weight = pseudo_random(params.weight_len(), seed + 2);
+            let bias = pseudo_random(attrs.out_channels, seed + 3);
+            let scales = quant::per_channel_scales(&weight, attrs.out_channels);
+            let weight_q = quant::quantize_per_channel(&weight, &scales);
+            let dequantized = quant::dequantize_per_channel(&weight_q, &scales);
 
-        let input = Tensor::from_vec(
-            Shape::nchw(1, 3, 12, 12),
-            (0..432).map(|v| (v % 17) as f32 * 0.1 - 0.8).collect(),
-        );
-        let reference = run_single_node_graph(
-            &g,
-            &backend,
-            &input,
-            &SchemeHint {
-                conv_scheme: Some(ConvScheme::SlidingWindow),
-                threads: Some(1),
-            },
-        );
-        for scheme in [
-            ConvScheme::Im2col,
-            ConvScheme::Winograd { tile: 2 },
-            ConvScheme::Winograd { tile: 4 },
-        ] {
-            let got = run_single_node_graph(
-                &g,
-                &backend,
-                &input,
-                &SchemeHint {
-                    conv_scheme: Some(scheme),
-                    threads: Some(2),
+            let float_pool = ConvScheme::float_conv_pool(&params, 6);
+            let mut quantized_pool = float_pool.clone();
+            if !params.is_depthwise() {
+                quantized_pool.insert(0, ConvScheme::QuantizedGemm);
+            }
+            let float_op = Op::Conv2d(attrs.clone());
+            let quantized_op = Op::Conv2dQuantized {
+                attrs: attrs.clone(),
+                activation: ActivationKind::None,
+                quant: QuantAttrs {
+                    weight_scales: scales.clone(),
                 },
-            );
-            assert_eq!(got.shape(), reference.shape());
-            assert!(
-                reference.max_abs_diff(&got) < 1e-2,
-                "scheme {scheme} diverged"
-            );
+            };
+            let float_weight = Tensor::from_vec(weight_shape.clone(), weight.clone());
+            let int8_weight = Tensor::try_from_i8(weight_shape, weight_q.clone()).unwrap();
+            for (op, weight_tensor, reference_weight, pool) in [
+                (float_op, float_weight, &weight, float_pool),
+                (quantized_op, int8_weight, &dequantized, quantized_pool),
+            ] {
+                let mut g = Graph::new("conv");
+                let x = g.add_tensor("x", Some(input_shape.clone()));
+                g.mark_input(x);
+                let w = g.add_constant("w", weight_tensor);
+                let b = g.add_constant(
+                    "b",
+                    Tensor::from_vec(Shape::vector(bias.len()), bias.clone()),
+                );
+                let (_, y) = g.add_node("conv", op, vec![x, w, b]);
+                g.mark_output(y);
+                let reference = conv::conv2d_reference(
+                    &params,
+                    1,
+                    in_h,
+                    in_w,
+                    input.data_f32(),
+                    reference_weight,
+                    &bias,
+                );
+                for scheme in pool {
+                    let hint = SchemeHint {
+                        conv_scheme: Some(scheme),
+                        threads: Some(2),
+                    };
+                    let got = run_single_node_graph(&g, &backend, &input, &hint);
+                    if scheme == ConvScheme::QuantizedGemm {
+                        // Exact i32 accumulation: the same bits on every
+                        // kernel set and thread count.
+                        let scalar = quant::conv2d_quantized(
+                            &params,
+                            1,
+                            1,
+                            in_h,
+                            in_w,
+                            input.data_f32(),
+                            &weight_q,
+                            &scales,
+                            &bias,
+                        );
+                        assert_eq!(got.data_f32(), scalar, "case {case} {scheme}");
+                        continue;
+                    }
+                    // The bound of `kernels/tests/simd_conformance.rs`: GEMM-
+                    // depth rounding for the direct and GEMM schemes, a
+                    // decade more where Winograd's transforms compound it.
+                    let tol = match scheme {
+                        ConvScheme::Winograd { .. } => 1e-3,
+                        _ => 1e-4,
+                    };
+                    for (i, (value, want)) in got.data_f32().iter().zip(&reference).enumerate() {
+                        assert!(
+                            (value - want).abs() <= tol * (1.0 + want.abs()),
+                            "case {case} {scheme}: element {i} is {value}, reference {want}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -19,16 +19,6 @@ pub enum BackendError {
     MissingConstant(String),
     /// A tensor had an unexpected data type or layout.
     InvalidTensor(String),
-    /// A convolution scheme requires a kernel backend (e.g. AVX2/NEON SIMD)
-    /// the host does not provide — raised by `on_create` so the tuner skips
-    /// the candidate and stale cache entries degrade to re-tuning instead of
-    /// dispatching a kernel that does not exist here.
-    UnavailableScheme {
-        /// Display form of the requested scheme (e.g. `im2col-simd`).
-        scheme: String,
-        /// The host's active kernel set (e.g. `scalar`).
-        kernel_set: String,
-    },
 }
 
 impl fmt::Display for BackendError {
@@ -40,10 +30,6 @@ impl fmt::Display for BackendError {
             BackendError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             BackendError::MissingConstant(name) => write!(f, "missing constant tensor '{name}'"),
             BackendError::InvalidTensor(msg) => write!(f, "invalid tensor: {msg}"),
-            BackendError::UnavailableScheme { scheme, kernel_set } => write!(
-                f,
-                "scheme '{scheme}' requires a SIMD kernel backend, but the active kernel set is '{kernel_set}'"
-            ),
         }
     }
 }

@@ -77,6 +77,10 @@ impl BackendDescriptor {
 
 /// The convolution algorithm chosen by pre-inference for one layer
 /// (the *scheme pool* of paper Eq. 3).
+///
+/// A scheme names an algorithm only. Which instruction set its kernels use is
+/// a fact about the host ([`mnn_kernels::simd::KernelBackend::active`]), not
+/// something pre-inference chooses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvScheme {
     /// Direct sliding-window convolution.
@@ -95,20 +99,6 @@ pub enum ConvScheme {
     /// Int8 integer kernel: activations quantized on the fly, `i32` accumulation,
     /// per-output-channel rescale (selected for quantized graphs).
     QuantizedGemm,
-    /// im2col + GEMM with the runtime-detected SIMD micro-kernel (AVX2/FMA or
-    /// NEON). Only enters candidate pools when the host's active
-    /// [`mnn_kernels::simd::KernelBackend`] is vectorized.
-    Im2colSimd,
-    /// Winograd `F(n×n, k×k)` with SIMD transforms and per-position GEMMs.
-    WinogradSimd {
-        /// Output tile size `n̂` (same meaning as [`ConvScheme::Winograd`]).
-        tile: usize,
-    },
-    /// Channel-wise (depthwise) convolution with per-row SIMD axpy taps.
-    DepthwiseSimd,
-    /// Int8 kernel with the SIMD integer GEMM stage — bit-identical to
-    /// [`ConvScheme::QuantizedGemm`] (exact `i32` accumulation), just faster.
-    QuantizedGemmSimd,
 }
 
 impl fmt::Display for ConvScheme {
@@ -120,10 +110,6 @@ impl fmt::Display for ConvScheme {
             ConvScheme::Strassen1x1 => write!(f, "strassen-1x1"),
             ConvScheme::Depthwise => write!(f, "depthwise"),
             ConvScheme::QuantizedGemm => write!(f, "quantized-gemm"),
-            ConvScheme::Im2colSimd => write!(f, "im2col-simd"),
-            ConvScheme::WinogradSimd { tile } => write!(f, "winograd-simd-F({tile}x{tile})"),
-            ConvScheme::DepthwiseSimd => write!(f, "depthwise-simd"),
-            ConvScheme::QuantizedGemmSimd => write!(f, "quantized-gemm-simd"),
         }
     }
 }
@@ -139,53 +125,15 @@ impl ConvScheme {
             "strassen-1x1" => Some(ConvScheme::Strassen1x1),
             "depthwise" => Some(ConvScheme::Depthwise),
             "quantized-gemm" => Some(ConvScheme::QuantizedGemm),
-            "im2col-simd" => Some(ConvScheme::Im2colSimd),
-            "depthwise-simd" => Some(ConvScheme::DepthwiseSimd),
-            "quantized-gemm-simd" => Some(ConvScheme::QuantizedGemmSimd),
             other => {
-                let (body, simd) = match other.strip_prefix("winograd-simd-F(") {
-                    Some(rest) => (rest, true),
-                    None => (other.strip_prefix("winograd-F(")?, false),
-                };
-                let body = body.strip_suffix(')')?;
+                let body = other.strip_prefix("winograd-F(")?.strip_suffix(')')?;
                 let (n, m) = body.split_once('x')?;
                 let tile: usize = n.parse().ok()?;
                 if m != n || tile < 2 {
                     return None;
                 }
-                Some(if simd {
-                    ConvScheme::WinogradSimd { tile }
-                } else {
-                    ConvScheme::Winograd { tile }
-                })
+                Some(ConvScheme::Winograd { tile })
             }
-        }
-    }
-
-    /// Whether this scheme requires a vectorized kernel backend. SIMD schemes
-    /// enter execution plans only via tuning candidates (never via the cost
-    /// model), and `on_create` rejects them when the host's active kernel
-    /// backend is scalar — so a tuning cache persisted on a SIMD host can
-    /// never install a kernel a scalar host lacks.
-    pub fn is_simd(self) -> bool {
-        matches!(
-            self,
-            ConvScheme::Im2colSimd
-                | ConvScheme::WinogradSimd { .. }
-                | ConvScheme::DepthwiseSimd
-                | ConvScheme::QuantizedGemmSimd
-        )
-    }
-
-    /// The scalar scheme this SIMD scheme accelerates (identity for scalar
-    /// schemes). Used by tests and reporting.
-    pub fn scalar_equivalent(self) -> ConvScheme {
-        match self {
-            ConvScheme::Im2colSimd => ConvScheme::Im2col,
-            ConvScheme::WinogradSimd { tile } => ConvScheme::Winograd { tile },
-            ConvScheme::DepthwiseSimd => ConvScheme::Depthwise,
-            ConvScheme::QuantizedGemmSimd => ConvScheme::QuantizedGemm,
-            other => other,
         }
     }
 
@@ -194,40 +142,27 @@ impl ConvScheme {
     /// model would shortlist). `max_tile` bounds the Winograd tile-size
     /// candidates. The order is deterministic so tuned plans are reproducible
     /// under an injected timer.
-    ///
-    /// When the host's active kernel backend is vectorized
-    /// ([`mnn_kernels::simd::simd_available`]), each scalar scheme with a SIMD
-    /// implementation also contributes its SIMD twin, so the tuner picks
-    /// scalar-vs-SIMD empirically per geometry.
     pub fn float_conv_pool(
         params: &mnn_kernels::conv::ConvParams,
         max_tile: usize,
     ) -> Vec<ConvScheme> {
-        let simd = mnn_kernels::simd::simd_available();
         if params.is_depthwise() {
-            let mut pool = vec![ConvScheme::Depthwise];
-            if simd {
-                pool.push(ConvScheme::DepthwiseSimd);
-            }
-            return pool;
+            return vec![ConvScheme::Depthwise];
         }
         let mut pool = Vec::new();
         if params.is_pointwise() {
             pool.push(ConvScheme::Strassen1x1);
         }
         pool.push(ConvScheme::SlidingWindow);
-        if params.im2col_applicable() {
+        // Unfolding a 1×1 kernel copies the input: im2col would be the
+        // Strassen path's GEMM behind a redundant copy, and two candidates
+        // that close make tuned plans flip from one run to the next.
+        if params.im2col_applicable() && !params.is_pointwise() {
             pool.push(ConvScheme::Im2col);
-            if simd {
-                pool.push(ConvScheme::Im2colSimd);
-            }
         }
         if params.winograd_applicable() {
             for tile in 2..=max_tile.max(2) {
                 pool.push(ConvScheme::Winograd { tile });
-                if simd {
-                    pool.push(ConvScheme::WinogradSimd { tile });
-                }
             }
         }
         pool
@@ -376,64 +311,18 @@ mod tests {
             "winograd-F(4x4)"
         );
         assert_eq!(ConvScheme::SlidingWindow.to_string(), "sliding-window");
-        assert_eq!(
-            ConvScheme::WinogradSimd { tile: 4 }.to_string(),
-            "winograd-simd-F(4x4)"
-        );
-        assert_eq!(ConvScheme::Im2colSimd.to_string(), "im2col-simd");
     }
 
     #[test]
-    fn simd_schemes_round_trip_through_parse() {
-        let schemes = [
-            ConvScheme::Im2colSimd,
-            ConvScheme::WinogradSimd { tile: 2 },
-            ConvScheme::WinogradSimd { tile: 6 },
-            ConvScheme::DepthwiseSimd,
-            ConvScheme::QuantizedGemmSimd,
-            ConvScheme::Winograd { tile: 3 },
-            ConvScheme::Im2col,
-        ];
-        for scheme in schemes {
-            assert_eq!(ConvScheme::parse(&scheme.to_string()), Some(scheme));
-        }
-        assert_eq!(ConvScheme::parse("winograd-simd-F(1x1)"), None);
-        assert_eq!(ConvScheme::parse("winograd-simd-F(2x3)"), None);
-    }
-
-    #[test]
-    fn is_simd_and_scalar_equivalent_agree() {
-        assert!(ConvScheme::Im2colSimd.is_simd());
-        assert!(ConvScheme::WinogradSimd { tile: 2 }.is_simd());
-        assert!(!ConvScheme::Im2col.is_simd());
-        assert!(!ConvScheme::QuantizedGemm.is_simd());
-        assert_eq!(
-            ConvScheme::WinogradSimd { tile: 4 }.scalar_equivalent(),
-            ConvScheme::Winograd { tile: 4 }
-        );
-        assert_eq!(
-            ConvScheme::QuantizedGemmSimd.scalar_equivalent(),
-            ConvScheme::QuantizedGemm
-        );
-        assert_eq!(
-            ConvScheme::SlidingWindow.scalar_equivalent(),
-            ConvScheme::SlidingWindow
-        );
-    }
-
-    #[test]
-    fn float_pool_offers_simd_twins_only_when_available() {
-        let params = mnn_kernels::conv::ConvParams::square(8, 8, 3, 1);
-        let pool = ConvScheme::float_conv_pool(&params, 4);
-        let simd_count = pool.iter().filter(|s| s.is_simd()).count();
-        if mnn_kernels::simd::simd_available() {
-            assert!(simd_count > 0, "SIMD host must offer SIMD candidates");
-            // Every SIMD candidate has its scalar twin in the same pool.
-            for s in pool.iter().filter(|s| s.is_simd()) {
-                assert!(pool.contains(&s.scalar_equivalent()));
-            }
-        } else {
-            assert_eq!(simd_count, 0, "scalar host must not offer SIMD candidates");
+    fn keys_written_by_older_caches_do_not_parse() {
+        // Tune caches up to format v2 named an instruction set in the scheme.
+        for key in [
+            "im2col-simd",
+            "depthwise-simd",
+            "quantized-gemm-simd",
+            "winograd-simd-F(4x4)",
+        ] {
+            assert_eq!(ConvScheme::parse(key), None, "{key}");
         }
     }
 }

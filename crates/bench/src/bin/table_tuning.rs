@@ -1,30 +1,27 @@
-//! `table_tuning` — cost-model plans vs scalar-tuned vs SIMD-tuned plans on
-//! the model zoo.
+//! `table_tuning` — cost-model plans vs tuned plans on the model zoo.
 //!
-//! Three plans per model/variant:
+//! Two plans per model/variant:
 //!
 //! * **cost** — cost-model scheme selection, no tuning (the paper's Eq. 2–3).
-//! * **scalar-tuned** — `TuningMode::Full` with `force_scalar`, so the tuner
-//!   measures only the scalar kernels.
-//! * **simd-tuned** — `TuningMode::Full` with the full candidate pools (SIMD
-//!   twins included on AVX2/NEON hosts).
+//! * **tuned** — `TuningMode::Full`: every candidate algorithm measured on
+//!   the node's real geometry.
+//!
+//! Both run the kernels of the host's detected instruction set (named in the
+//! table title); they differ only in which algorithm each convolution got.
+//! To see what the vector kernels are worth, run the table twice — with and
+//! without `MNN_SIMD=scalar` — and compare the `tuned ms` columns.
 //!
 //! The acceptance bars, asserted (a regression fails the bin):
 //!
-//! * the SIMD-tuned plan must never run slower than the cost-model plan beyond
+//! * the tuned plan must never run slower than the cost-model plan beyond
 //!   measurement noise, and
 //! * a session created against the warm persistent cache must perform **zero**
 //!   candidate measurements (checked via the tuning-stats counter).
 //!
-//! The `simd x` column reports scalar-tuned / simd-tuned wall time — the
-//! speedup attributable to the vectorized kernels alone, since both plans were
-//! tuned the same way. On scalar-only hosts the two columns coincide.
-//!
 //! Run with: `cargo run --release -p mnn-bench --bin table_tuning`
 //! Calibrate the cost model instead with: `... --bin table_tuning -- --calibrate`
-//! CI smoke check (candidate enumeration only, no timing): `... -- --smoke`
 
-use mnn_bench::{deterministic_input, print_row, print_table_header, time_ms};
+use mnn_bench::{deterministic_input, print_row, print_table_header};
 use mnn_converter::{optimize, quantize_weights, OptimizerOptions};
 use mnn_core::{Interpreter, Session, SessionConfig, TuningMode};
 use mnn_graph::Graph;
@@ -95,109 +92,24 @@ fn calibrate() {
     );
 }
 
-/// CI smoke check: no wall-clock measurements, just structural assertions that
-/// the SIMD kernel plumbing is wired through candidate enumeration and that a
-/// forced-scalar session never sees (or plans) a SIMD scheme.
-fn smoke() {
-    let kernel_set = mnn_kernels::simd::active_kernel_set();
-    let simd = mnn_kernels::simd::simd_available();
-    println!("active kernel set: {kernel_set} (simd_available = {simd})");
-
-    let mut graph = build(ModelKind::TinyCnn, 1, 16);
-    optimize(&mut graph, OptimizerOptions::default());
-    let max_tile = mnn_core::scheme::MAX_WINOGRAD_TILE;
-    let mut conv_pools = 0usize;
-    let mut pools_with_simd = 0usize;
-    for node in graph.nodes() {
-        let pool = mnn_tune::candidates_for_node(node, max_tile);
-        if pool.is_empty() {
-            continue;
-        }
-        conv_pools += 1;
-        if pool.iter().any(|s| s.is_simd()) {
-            pools_with_simd += 1;
-        }
-    }
-    assert!(conv_pools > 0, "smoke model must yield tunable conv pools");
-    if simd {
-        assert_eq!(
-            pools_with_simd, conv_pools,
-            "every conv pool must offer SIMD twins on a SIMD host"
-        );
-    } else {
-        assert_eq!(
-            pools_with_simd, 0,
-            "no pool may offer SIMD schemes when the kernel set is scalar"
-        );
-    }
-    println!("candidate pools: {conv_pools} tunable, {pools_with_simd} with SIMD twins");
-
-    // A forced-scalar tuned session must plan only scalar schemes, on any host.
-    let scalar_session = session(
-        graph.clone(),
-        SessionConfig::builder()
-            .threads(1)
-            .tuning(TuningMode::Full)
-            .force_scalar(true)
-            .build(),
-    );
-    for p in &scalar_session.report().placements {
-        if let Some(scheme) = p.scheme {
-            assert!(
-                !scheme.is_simd(),
-                "force_scalar session planned SIMD scheme {scheme} for {}",
-                p.name
-            );
-        }
-    }
-    mnn_tune::clear_process_caches();
-
-    // A default tuned session on a SIMD host must have measured SIMD
-    // candidates (whether they win is geometry-dependent and not asserted).
-    let tuned = session(
-        graph,
-        SessionConfig::builder()
-            .threads(1)
-            .tuning(TuningMode::Full)
-            .build(),
-    );
-    let stats = tuned.tuning_stats().expect("tuning enabled");
-    assert!(
-        stats.measured_candidates > 0,
-        "tuned session must measure candidates"
-    );
-    mnn_tune::clear_process_caches();
-    println!(
-        "tuned smoke session: {} nodes tuned, {} candidates measured",
-        tuned.report().tuned_nodes,
-        stats.measured_candidates
-    );
-    println!("PASS: SIMD candidate enumeration and force_scalar filtering are wired");
-}
-
 fn main() {
     if std::env::args().any(|a| a == "--calibrate") {
         calibrate();
-        return;
-    }
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
         return;
     }
 
     let kernel_set = mnn_kernels::simd::active_kernel_set();
     print_table_header(
         &format!(
-            "Auto-tuning: cost-model vs scalar-tuned vs simd-tuned \
+            "Auto-tuning: cost-model vs tuned \
              ({INPUT_SIZE}x{INPUT_SIZE}, {THREADS} threads, kernel set {kernel_set})"
         ),
         &[
             "model",
             "variant",
             "cost ms",
-            "scalar ms",
-            "simd ms",
-            "simd x",
+            "tuned ms",
+            "tuned x",
             "tuned nodes",
             "warm meas",
             "verdict",
@@ -217,10 +129,8 @@ fn main() {
 
         for (variant, graph) in [("float", float_graph), ("int8", quant_graph)] {
             let tag = format!("{kind}-{variant}").replace([' ', '.'], "_");
-            let scalar_path = cache_path(&format!("{tag}-scalar"));
-            let simd_path = cache_path(&format!("{tag}-simd"));
-            let _ = std::fs::remove_file(&scalar_path);
-            let _ = std::fs::remove_file(&simd_path);
+            let path = cache_path(&tag);
+            let _ = std::fs::remove_file(&path);
 
             // Cost-model baseline.
             let mut cost_session = session(
@@ -229,36 +139,20 @@ fn main() {
             );
             let cost_ms = bench_run(&mut cost_session);
 
-            // Scalar-tuned: only the scalar kernels compete. Its own cache
-            // path and a registry clear keep its measurements from leaking
-            // into the SIMD-tuned session below (they share a fingerprint).
             mnn_tune::clear_process_caches();
-            let scalar_config = SessionConfig::builder()
+            let tuned_config = SessionConfig::builder()
                 .threads(THREADS)
                 .tuning(TuningMode::Full)
-                .tune_cache_path(&scalar_path)
-                .force_scalar(true)
+                .tune_cache_path(&path)
                 .build();
-            let mut scalar_session = session(graph.clone(), scalar_config);
-            let scalar_ms = bench_run(&mut scalar_session);
-
-            // SIMD-tuned: full candidate pools (scalar + SIMD twins).
-            mnn_tune::clear_process_caches();
-            let simd_config = SessionConfig::builder()
-                .threads(THREADS)
-                .tuning(TuningMode::Full)
-                .tune_cache_path(&simd_path)
-                .build();
-            let (mut simd_session, _cold_prep_ms) =
-                time_ms(|| session(graph.clone(), simd_config.clone()));
-            let simd_ms = bench_run(&mut simd_session);
-            let tuned_nodes = simd_session.report().tuned_nodes;
+            let mut tuned_session = session(graph.clone(), tuned_config.clone());
+            let tuned_ms = bench_run(&mut tuned_session);
+            let tuned_nodes = tuned_session.report().tuned_nodes;
 
             // Warm persistent start: simulate a fresh process, then assert the
             // acceptance criterion — zero candidate measurements.
             mnn_tune::clear_process_caches();
-            let (warm_session, _warm_prep_ms) =
-                time_ms(|| session(graph.clone(), simd_config.clone()));
+            let warm_session = session(graph.clone(), tuned_config);
             let warm_stats = warm_session.tuning_stats().expect("tuning enabled");
             assert!(
                 warm_stats.loaded_from_disk,
@@ -269,7 +163,7 @@ fn main() {
                 "{kind}/{variant}: warm session must perform zero measurements"
             );
 
-            let within_noise = simd_ms <= cost_ms * NOISE_RELATIVE + NOISE_ABS_MS;
+            let within_noise = tuned_ms <= cost_ms * NOISE_RELATIVE + NOISE_ABS_MS;
             if !within_noise {
                 failures += 1;
             }
@@ -277,15 +171,13 @@ fn main() {
                 kind.to_string(),
                 variant.to_string(),
                 format!("{cost_ms:.3}"),
-                format!("{scalar_ms:.3}"),
-                format!("{simd_ms:.3}"),
-                format!("{:.2}x", scalar_ms / simd_ms.max(1e-9)),
+                format!("{tuned_ms:.3}"),
+                format!("{:.2}x", cost_ms / tuned_ms.max(1e-9)),
                 tuned_nodes.to_string(),
                 warm_stats.measured_candidates.to_string(),
                 if within_noise { "PASS" } else { "SLOWER" }.to_string(),
             ]);
-            let _ = std::fs::remove_file(&scalar_path);
-            let _ = std::fs::remove_file(&simd_path);
+            let _ = std::fs::remove_file(&path);
         }
     }
 

@@ -24,20 +24,15 @@ use std::fmt;
 /// [`Op::Conv2dQuantized`] node.
 ///
 /// Non-depthwise layers can run either the integer kernel
-/// ([`ConvScheme::QuantizedGemm`], activations quantized on the fly — plus its
-/// SIMD twin on vectorized hosts) or any float scheme over weights dequantized
-/// once at preparation time, so the pool is the integer kernel(s) plus the
-/// full float pool. Depthwise layers have no integer-GEMM reuse to exploit and
-/// stay on the f32 depthwise kernel — on SIMD hosts the float pool still
-/// offers scalar-vs-SIMD depthwise, so the tuner measures that pair.
+/// ([`ConvScheme::QuantizedGemm`], activations quantized on the fly) or any
+/// float scheme over weights dequantized once at preparation time, so the pool
+/// is the integer kernel plus the full float pool. Depthwise layers have no
+/// integer-GEMM reuse to exploit and stay on the f32 depthwise kernel.
 pub fn quantized_conv_candidates(params: &ConvParams, max_tile: usize) -> Vec<ConvScheme> {
     if params.is_depthwise() {
         return ConvScheme::float_conv_pool(params, max_tile);
     }
     let mut pool = vec![ConvScheme::QuantizedGemm];
-    if mnn_kernels::simd::simd_available() {
-        pool.push(ConvScheme::QuantizedGemmSimd);
-    }
     pool.extend(ConvScheme::float_conv_pool(params, max_tile));
     pool
 }

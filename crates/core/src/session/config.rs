@@ -51,11 +51,6 @@ pub struct SessionConfig {
     /// (`None`, the default, skips all timestamping). Share one `Arc` across
     /// the sessions of a pool to profile a whole server.
     pub profiler: Option<Arc<Profiler>>,
-    /// Exclude SIMD kernel variants from this session's tuning candidate
-    /// pools, pinning every convolution to the scalar kernels. The process-wide
-    /// equivalent is `MNN_SIMD=scalar`; this knob scopes it to one session
-    /// (e.g. for scalar-vs-SIMD A/B measurements in the same process).
-    pub force_scalar: bool,
     /// Scope (usually: model name) the session's arena and plan-cache bytes
     /// are charged to in the `mnn_obs::resources` ledger. `None` charges
     /// under the graph's name. Servers set this to the registry name so
@@ -81,7 +76,6 @@ impl Default for SessionConfig {
             tune_cache_path: None,
             cost_model: CostModel::default(),
             profiler: None,
-            force_scalar: false,
             resource_scope: None,
             account_resources: true,
         }
@@ -209,14 +203,6 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Keep this session on the scalar kernels: SIMD scheme variants are
-    /// dropped from the tuning candidate pools (and cached SIMD winners are
-    /// therefore rejected by the candidate-membership guard). Default `false`.
-    pub fn force_scalar(mut self, force: bool) -> Self {
-        self.config.force_scalar = force;
-        self
-    }
-
     /// Charge this session's arena and plan-cache bytes under `scope` in the
     /// `mnn_obs::resources` ledger instead of the graph's name.
     pub fn resource_scope(mut self, scope: impl Into<String>) -> Self {
@@ -284,13 +270,6 @@ mod tests {
         assert_eq!(config.tuning, TuningMode::Off);
         assert!(config.tune_cache_path.is_none());
         assert_eq!(config.cost_model, CostModel::default());
-        assert!(!config.force_scalar);
-    }
-
-    #[test]
-    fn builder_sets_force_scalar() {
-        let config = SessionConfig::builder().force_scalar(true).build();
-        assert!(config.force_scalar);
     }
 
     #[test]

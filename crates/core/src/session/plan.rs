@@ -336,17 +336,7 @@ pub(super) fn build_plan(
         if let Some(tuner) = tuner {
             let on_cpu = backends[placement.backend_index].forward_type() == ForwardType::Cpu;
             if on_cpu && selected_scheme.is_some() {
-                let mut candidates = candidates_for_node(node, config.max_winograd_tile);
-                if config.force_scalar {
-                    // Session-scoped scalar pinning: SIMD variants leave the
-                    // pool, and the candidate-membership guard below then also
-                    // rejects cached SIMD winners. A pool reduced to a single
-                    // kernel has nothing left to measure.
-                    candidates.retain(|c| !c.is_simd());
-                    if candidates.len() < 2 {
-                        candidates.clear();
-                    }
-                }
+                let candidates = candidates_for_node(node, config.max_winograd_tile);
                 if !candidates.is_empty() {
                     if let Some(sig) = OpSignature::for_node(node, graph) {
                         // A cache hit is only usable when its scheme is in

@@ -690,3 +690,44 @@ fn passthrough_outputs_and_repeated_operands_run() {
         assert_eq!(session.output("doubled").unwrap().data_f32(), expected);
     }
 }
+
+/// A tuned plan names algorithms, never an instruction set: under a scripted
+/// timer the scheme of every convolution is one fixed string, on a vector
+/// host and under `MNN_SIMD=scalar` alike.
+#[test]
+fn tuned_plan_names_are_independent_of_the_kernel_set() {
+    use mnn_models::{build, ModelKind};
+    use mnn_tune::{FakeTimer, SharedTuneCache};
+
+    let interpreter = Interpreter::from_graph(build(ModelKind::MobileNetV1, 1, 32)).unwrap();
+    let config = SessionConfig::builder()
+        .threads(1)
+        .tuning(mnn_tune::TuningMode::Full)
+        .build();
+    let mut backends: Vec<Box<dyn Backend>> = vec![Box::new(CpuBackend::new(1))];
+    let fingerprint = DeviceFingerprint::detect(1, &backends[0].descriptor());
+    let tuner = Tuner::with_timer(
+        SharedTuneCache::open(fingerprint, None),
+        Arc::new(FakeTimer::preferring(&["strassen-1x1", "im2col"])),
+    );
+    let plan = plan::build_plan(
+        interpreter.graph(),
+        &config,
+        &mut backends,
+        None,
+        Some(&tuner),
+    )
+    .unwrap();
+    let schemes: Vec<String> = plan
+        .report
+        .placements
+        .iter()
+        .filter_map(|p| p.scheme.map(|scheme| scheme.to_string()))
+        .collect();
+    // MobileNet-v1: a strided 3x3 stem, then 13 depthwise (one kernel, not
+    // measured) + pointwise pairs.
+    let mut expected = vec!["im2col"];
+    expected.extend(["depthwise", "strassen-1x1"].repeat(13));
+    assert_eq!(schemes, expected);
+    assert_eq!(plan.report.tuned_nodes, 14);
+}

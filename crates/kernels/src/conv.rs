@@ -9,7 +9,7 @@
 
 use crate::gemm::gemm_mt_with;
 use crate::simd::{axpy_f32, KernelBackend};
-use crate::strassen::strassen;
+use crate::strassen::strassen_with;
 
 /// Padding policy for convolution/pooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -468,6 +468,37 @@ pub fn conv2d_1x1_strassen(
     weight: &[f32],
     bias: &[f32],
 ) -> Vec<f32> {
+    conv2d_1x1_strassen_with(
+        KernelBackend::Scalar,
+        params,
+        1,
+        batch,
+        in_h,
+        in_w,
+        input,
+        weight,
+        bias,
+    )
+}
+
+/// [`conv2d_1x1_strassen`] with an explicit [`KernelBackend`] and thread
+/// count for the base-case GEMM of the recursion.
+///
+/// # Panics
+///
+/// Same contract as [`conv2d_1x1_strassen`].
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_1x1_strassen_with(
+    kb: KernelBackend,
+    params: &ConvParams,
+    threads: usize,
+    batch: usize,
+    in_h: usize,
+    in_w: usize,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+) -> Vec<f32> {
     assert!(
         params.is_pointwise(),
         "conv2d_1x1_strassen requires a 1x1 s1 d1 convolution"
@@ -480,7 +511,9 @@ pub fn conv2d_1x1_strassen(
         let out_block =
             &mut output[b * params.out_channels * spatial..][..params.out_channels * spatial];
         // weight is [oc, ic] (kh = kw = 1), input block is [ic, spatial].
-        strassen(
+        strassen_with(
+            kb,
+            threads,
             params.out_channels,
             params.in_channels,
             spatial,
@@ -526,7 +559,8 @@ pub fn conv2d_depthwise(
 ///
 /// With a SIMD backend and unit column stride/dilation, each kernel tap
 /// becomes one vector axpy over the valid output row span (`out_row += wv *
-/// in_row[..]`); strided/dilated taps keep the scalar gather. Results differ
+/// in_row[..]`). Strided or dilated columns leave no contiguous span to
+/// vectorize, so they run the scalar kernel on every backend. Results differ
 /// from scalar only by FMA rounding per element.
 ///
 /// # Panics
@@ -549,7 +583,8 @@ pub fn conv2d_depthwise_with(
         params.is_depthwise(),
         "conv2d_depthwise requires groups == in_channels == out_channels"
     );
-    if !kb.is_simd() {
+    let row_axpy = params.stride_w == 1 && params.dilation_w == 1;
+    if !kb.is_simd() || !row_axpy {
         return conv2d_sliding_window(params, threads, batch, in_h, in_w, input, weight, bias);
     }
     validate(params, batch, in_h, in_w, input, weight, bias);
@@ -557,7 +592,6 @@ pub fn conv2d_depthwise_with(
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let out_plane = out_h * out_w;
     let mut output = vec![0.0f32; batch * params.out_channels * out_plane];
-    let row_axpy = params.stride_w == 1 && params.dilation_w == 1;
 
     crate::parallel::parallel_chunks_mut(threads, &mut output, out_plane, |plane_index, planes| {
         for (p, plane) in planes.chunks_mut(out_plane).enumerate() {
@@ -582,30 +616,19 @@ pub fn conv2d_depthwise_with(
                         }
                         let in_row = &in_plane[iy as usize * in_w..][..in_w];
                         let out_row = &mut plane[oy * out_w..][..out_w];
-                        if row_axpy {
-                            // ix = ox + kx - pad_w; restrict ox to where ix
-                            // lands inside the row, then vector-axpy the span.
-                            let shift = kx as isize - pad_w as isize;
-                            let ox_start = (-shift).max(0) as usize;
-                            let ox_end = out_w.min((in_w as isize - shift).max(0) as usize);
-                            if ox_start < ox_end {
-                                let ix0 = (ox_start as isize + shift) as usize;
-                                axpy_f32(
-                                    kb,
-                                    &mut out_row[ox_start..ox_end],
-                                    &in_row[ix0..ix0 + (ox_end - ox_start)],
-                                    wv,
-                                );
-                            }
-                        } else {
-                            for ox in 0..out_w {
-                                let ix = (ox * params.stride_w + kx * params.dilation_w) as isize
-                                    - pad_w as isize;
-                                if ix < 0 || ix >= in_w as isize {
-                                    continue;
-                                }
-                                out_row[ox] += wv * in_row[ix as usize];
-                            }
+                        // ix = ox + kx - pad_w; restrict ox to where ix lands
+                        // inside the row, then vector-axpy the span.
+                        let shift = kx as isize - pad_w as isize;
+                        let ox_start = (-shift).max(0) as usize;
+                        let ox_end = out_w.min((in_w as isize - shift).max(0) as usize);
+                        if ox_start < ox_end {
+                            let ix0 = (ox_start as isize + shift) as usize;
+                            axpy_f32(
+                                kb,
+                                &mut out_row[ox_start..ox_end],
+                                &in_row[ix0..ix0 + (ox_end - ox_start)],
+                                wv,
+                            );
                         }
                     }
                 }

@@ -1,6 +1,7 @@
 //! Fully-connected (inner product) kernel.
 
-use crate::gemm::gemm_mt;
+use crate::gemm::gemm_mt_with;
+use crate::simd::KernelBackend;
 
 /// Fully-connected layer: `y = x · Wᵀ + b`.
 ///
@@ -12,6 +13,34 @@ use crate::gemm::gemm_mt;
 ///
 /// Panics if slice lengths are inconsistent.
 pub fn fully_connected(
+    threads: usize,
+    batch: usize,
+    in_features: usize,
+    out_features: usize,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+) -> Vec<f32> {
+    fully_connected_with(
+        KernelBackend::Scalar,
+        threads,
+        batch,
+        in_features,
+        out_features,
+        input,
+        weight,
+        bias,
+    )
+}
+
+/// [`fully_connected`] with an explicit [`KernelBackend`] for the GEMM.
+///
+/// # Panics
+///
+/// Panics if slice lengths are inconsistent.
+#[allow(clippy::too_many_arguments)]
+pub fn fully_connected_with(
+    kb: KernelBackend,
     threads: usize,
     batch: usize,
     in_features: usize,
@@ -32,7 +61,8 @@ pub fn fully_connected(
     // y[b][o] = sum_i x[b][i] * w[o][i]  ==  X (batch x in) * W^T (in x out)
     let weight_t = crate::gemm::transpose(out_features, in_features, weight);
     let mut output = vec![0.0f32; batch * out_features];
-    gemm_mt(
+    gemm_mt_with(
+        kb,
         threads,
         batch,
         in_features,

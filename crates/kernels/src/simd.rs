@@ -8,9 +8,9 @@
 //! Three design rules keep the rest of the crate simple:
 //!
 //! 1. **Explicit dispatch.** Kernels take a [`KernelBackend`] value via their
-//!    `_with` entry points; the plain entry points (`gemm`, `conv2d_im2col`,
-//!    …) stay scalar so existing callers — and the scalar tuning candidates —
-//!    are bit-for-bit unchanged.
+//!    `_with` entry points — the CPU backend passes [`KernelBackend::active`]
+//!    to every one of them; the plain entry points (`gemm`, `conv2d_im2col`,
+//!    …) stay scalar, as the references the conformance tests compare against.
 //! 2. **Runtime detection, env override.** [`KernelBackend::active`] returns
 //!    the best backend the host supports, unless the `MNN_SIMD` environment
 //!    variable is set to `scalar`/`off`/`0`, which forces the scalar path
@@ -94,13 +94,6 @@ impl KernelBackend {
     pub fn is_simd(self) -> bool {
         self != KernelBackend::Scalar
     }
-}
-
-/// Whether any SIMD backend is active on this host (hardware support and the
-/// `MNN_SIMD` policy both permitting). Candidate pools consult this before
-/// offering SIMD schemes to the tuner.
-pub fn simd_available() -> bool {
-    KernelBackend::active().is_simd()
 }
 
 /// Name of the active kernel backend (`"scalar"`, `"avx2fma"`, `"neon"`),
@@ -884,7 +877,6 @@ mod tests {
     fn active_backend_is_hardware_supported() {
         let kb = KernelBackend::active();
         assert!(kb.hw_supported());
-        assert_eq!(simd_available(), kb.is_simd());
         assert_eq!(active_kernel_set(), kb.name());
     }
 

@@ -17,7 +17,8 @@
 //! Matrices with odd dimensions are padded by one zero row/column at the recursion
 //! level where the split happens; the padding is stripped when recombining.
 
-use crate::gemm::gemm;
+use crate::gemm::gemm_mt_with;
+use crate::simd::KernelBackend;
 
 /// Minimum size the half-matrices must keep for another recursion level.
 ///
@@ -80,21 +81,51 @@ pub fn strassen_mul_count(m: usize, k: usize, n: usize) -> usize {
 /// `c: [m, n]`, all row-major.
 ///
 /// Recursion depth is governed by [`should_recurse`] (paper Eq. 9); the base case
-/// falls back to the blocked [`gemm`] kernel.
+/// falls back to the blocked [`gemm`](crate::gemm::gemm) kernel.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths do not match the dimensions.
 pub fn strassen(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    strassen_with(KernelBackend::Scalar, 1, m, k, n, a, b, c);
+}
+
+/// [`strassen`] with an explicit [`KernelBackend`] and thread count for the
+/// base-case GEMM.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn strassen_with(
+    kb: KernelBackend,
+    threads: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     assert_eq!(a.len(), m * k, "A must be m*k elements");
     assert_eq!(b.len(), k * n, "B must be k*n elements");
     assert_eq!(c.len(), m * n, "C must be m*n elements");
-    strassen_impl(m, k, n, a, b, c);
+    strassen_impl(kb, threads, m, k, n, a, b, c);
 }
 
-fn strassen_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+#[allow(clippy::too_many_arguments)]
+fn strassen_impl(
+    kb: KernelBackend,
+    threads: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     if !should_recurse(m, k, n) {
-        gemm(m, k, n, a, b, c);
+        gemm_mt_with(kb, threads, m, k, n, a, b, c);
         return;
     }
 
@@ -142,13 +173,15 @@ fn strassen_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     let mut m6 = vec![0.0f32; mh * nh];
     let mut m7 = vec![0.0f32; mh * nh];
 
-    strassen_impl(mh, kh, nh, &add(&a11, &a22), &add(&b11, &b22), &mut m1);
-    strassen_impl(mh, kh, nh, &add(&a21, &a22), &b11, &mut m2);
-    strassen_impl(mh, kh, nh, &a11, &subm(&b12, &b22), &mut m3);
-    strassen_impl(mh, kh, nh, &a22, &subm(&b21, &b11), &mut m4);
-    strassen_impl(mh, kh, nh, &add(&a11, &a12), &b22, &mut m5);
-    strassen_impl(mh, kh, nh, &subm(&a21, &a11), &add(&b11, &b12), &mut m6);
-    strassen_impl(mh, kh, nh, &subm(&a12, &a22), &add(&b21, &b22), &mut m7);
+    let product =
+        |a: &[f32], b: &[f32], c: &mut [f32]| strassen_impl(kb, threads, mh, kh, nh, a, b, c);
+    product(&add(&a11, &a22), &add(&b11, &b22), &mut m1);
+    product(&add(&a21, &a22), &b11, &mut m2);
+    product(&a11, &subm(&b12, &b22), &mut m3);
+    product(&a22, &subm(&b21, &b11), &mut m4);
+    product(&add(&a11, &a12), &b22, &mut m5);
+    product(&subm(&a21, &a11), &add(&b11, &b12), &mut m6);
+    product(&subm(&a12, &a22), &add(&b21, &b22), &mut m7);
 
     // Recombine: C11 = M1 + M4 - M5 + M7, C12 = M3 + M5, C21 = M2 + M4,
     //            C22 = M1 - M2 + M3 + M6 — written row-wise so the inner loops

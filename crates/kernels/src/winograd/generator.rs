@@ -20,8 +20,6 @@
 //!
 //! which yields an exact algorithm using `(n + k − 1)²` multiplications per 2-D tile.
 
-use crate::simd::{axpy_f32, dot_f32, KernelBackend};
-
 /// Scalar used to spread the interpolation points and minimize numerical error
 /// (paper Eq. 8 sets `f = 0.5`).
 pub const POINT_SCALE: f64 = 0.5;
@@ -50,83 +48,66 @@ impl WinogradTransforms {
     /// Transform a `k×k` kernel tile: `W' = G · W · Gᵀ`, returning an `α×α` tile.
     pub fn transform_kernel(&self, w: &[f32]) -> Vec<f32> {
         assert_eq!(w.len(), self.k * self.k, "kernel tile must be k*k");
-        let gw = mat_mul(
-            KernelBackend::Scalar,
-            self.alpha,
-            self.k,
-            self.k,
-            &self.g,
-            w,
-        );
-        mat_mul_bt(
-            KernelBackend::Scalar,
-            self.alpha,
-            self.k,
-            self.alpha,
-            &gw,
-            &self.g,
-        )
+        let mut gw = vec![0.0f32; self.alpha * self.k];
+        mat_mul(self.alpha, self.k, self.k, &self.g, w, &mut gw);
+        let mut out = vec![0.0f32; self.alpha * self.alpha];
+        mat_mul_bt(self.alpha, self.k, self.alpha, &gw, &self.g, &mut out);
+        out
     }
 
-    /// Transform an `α×α` input tile: `X' = Bᵀ · X · B`.
-    pub fn transform_input(&self, x: &[f32]) -> Vec<f32> {
-        self.transform_input_with(KernelBackend::Scalar, x)
+    /// Transform an `α×α` input tile into `out` (`α×α`): `X' = Bᵀ · X · B`.
+    ///
+    /// `scratch` holds the intermediate product and must be at least `α×α`
+    /// long. The kernel calls this once per tile per channel, so nothing here
+    /// allocates, and the arithmetic is scalar on every host: rows of 4–8
+    /// elements are too short for the vector `dot`/`axpy` to pay for their
+    /// dispatch.
+    pub fn transform_input(&self, x: &[f32], scratch: &mut [f32], out: &mut [f32]) {
+        let alpha = self.alpha;
+        assert_eq!(x.len(), alpha * alpha, "input tile must be alpha*alpha");
+        mat_mul(alpha, alpha, alpha, &self.b_t, x, scratch);
+        mat_mul_bt(alpha, alpha, alpha, scratch, &self.b_t, out);
     }
 
-    /// [`WinogradTransforms::transform_input`] with an explicit
-    /// [`KernelBackend`]: the two small matrix products use the SIMD
-    /// axpy/dot primitives (tolerance, not bit-identity, vs scalar).
-    pub fn transform_input_with(&self, kb: KernelBackend, x: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.alpha * self.alpha,
-            "input tile must be alpha*alpha"
-        );
-        let bx = mat_mul(kb, self.alpha, self.alpha, self.alpha, &self.b_t, x);
-        mat_mul_bt(kb, self.alpha, self.alpha, self.alpha, &bx, &self.b_t)
-    }
-
-    /// Inverse-transform an `α×α` product tile: `Y = Aᵀ · Y' · A`, returning `n×n`.
-    pub fn transform_output(&self, y: &[f32]) -> Vec<f32> {
-        self.transform_output_with(KernelBackend::Scalar, y)
-    }
-
-    /// [`WinogradTransforms::transform_output`] with an explicit
-    /// [`KernelBackend`] (see [`WinogradTransforms::transform_input_with`]).
-    pub fn transform_output_with(&self, kb: KernelBackend, y: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            y.len(),
-            self.alpha * self.alpha,
-            "product tile must be alpha*alpha"
-        );
-        let ay = mat_mul(kb, self.n, self.alpha, self.alpha, &self.a_t, y);
-        mat_mul_bt(kb, self.n, self.alpha, self.n, &ay, &self.a_t)
+    /// Inverse-transform an `α×α` product tile into `out` (`n×n`):
+    /// `Y = Aᵀ · Y' · A`. `scratch` as for
+    /// [`WinogradTransforms::transform_input`].
+    pub fn transform_output(&self, y: &[f32], scratch: &mut [f32], out: &mut [f32]) {
+        let (n, alpha) = (self.n, self.alpha);
+        assert_eq!(y.len(), alpha * alpha, "product tile must be alpha*alpha");
+        mat_mul(n, alpha, alpha, &self.a_t, y, scratch);
+        mat_mul_bt(n, alpha, n, scratch, &self.a_t, out);
     }
 }
 
-/// `C = A(m×k) · B(k×n)` for small row-major matrices.
-fn mat_mul(kb: KernelBackend, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
+/// `C = A(m×k) · B(k×n)` for small row-major matrices, into `c[..m*n]`.
+fn mat_mul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let c = &mut c[..m * n];
+    c.fill(0.0);
     for i in 0..m {
         let c_row = &mut c[i * n..(i + 1) * n];
         for p in 0..k {
             let av = a[i * k + p];
-            axpy_f32(kb, c_row, &b[p * n..(p + 1) * n], av);
+            for (d, s) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *d += av * s;
+            }
         }
     }
-    c
 }
 
-/// `C = A(m×k) · Bᵀ` where `B` is `n×k` row-major (so `Bᵀ` is `k×n`).
-fn mat_mul_bt(kb: KernelBackend, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
+/// `C = A(m×k) · Bᵀ` where `B` is `n×k` row-major (so `Bᵀ` is `k×n`), into
+/// `c[..m*n]`.
+fn mat_mul_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         for j in 0..n {
-            c[i * n + j] = dot_f32(kb, a_row, &b[j * k..(j + 1) * k]);
+            c[i * n + j] = a_row
+                .iter()
+                .zip(&b[j * k..(j + 1) * k])
+                .map(|(x, y)| x * y)
+                .sum();
         }
     }
-    c
 }
 
 /// The interpolation points of Eq. 8: `0, +f, −f, +2f, −2f, …` (`count` of them).
@@ -326,9 +307,12 @@ mod tests {
         let w: Vec<f32> = (0..k * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
         let wt = t.transform_kernel(&w);
-        let xt = t.transform_input(&x);
+        let mut scratch = vec![0.0f32; alpha * alpha];
+        let mut xt = vec![0.0f32; alpha * alpha];
+        t.transform_input(&x, &mut scratch, &mut xt);
         let had: Vec<f32> = wt.iter().zip(&xt).map(|(a, b)| a * b).collect();
-        let y = t.transform_output(&had);
+        let mut y = vec![0.0f32; n * n];
+        t.transform_output(&had, &mut scratch, &mut y);
 
         for oy in 0..n {
             for ox in 0..n {

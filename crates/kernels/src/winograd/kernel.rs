@@ -142,10 +142,11 @@ pub fn conv2d_winograd_prepared(
     )
 }
 
-/// [`conv2d_winograd_prepared`] with an explicit [`KernelBackend`]: the
-/// input/output transforms and the per-position `[tiles, ic] × [ic, oc]`
-/// GEMMs dispatch to the SIMD micro-kernels (tolerance, not bit-identity,
-/// vs scalar).
+/// [`conv2d_winograd_prepared`] with an explicit [`KernelBackend`] for the
+/// per-position `[tiles, ic] × [ic, oc]` GEMMs (tolerance, not bit-identity,
+/// vs scalar). The input/output transforms are scalar on every backend: they
+/// work on rows of 4–8 elements, where the vector `dot`/`axpy` lose to their
+/// own dispatch.
 ///
 /// # Panics
 ///
@@ -215,6 +216,8 @@ pub fn conv2d_winograd_prepared_with(
                     alpha * alpha * ic,
                     |tile_start, chunk| {
                         let mut patch = vec![0.0f32; alpha * alpha];
+                        let mut scratch = vec![0.0f32; alpha * alpha];
+                        let mut xt = vec![0.0f32; alpha * alpha];
                         for (t_local, tile_buf) in chunk.chunks_mut(alpha * alpha * ic).enumerate()
                         {
                             let tile = tile_start + t_local;
@@ -240,9 +243,9 @@ pub fn conv2d_winograd_prepared_with(
                                         };
                                     }
                                 }
-                                let xt = transforms_ref.transform_input_with(kb, &patch);
-                                for pos in 0..alpha * alpha {
-                                    tile_buf[pos * ic + c] = xt[pos];
+                                transforms_ref.transform_input(&patch, &mut scratch, &mut xt);
+                                for (pos, &value) in xt.iter().enumerate() {
+                                    tile_buf[pos * ic + c] = value;
                                 }
                             }
                         }
@@ -295,6 +298,8 @@ pub fn conv2d_winograd_prepared_with(
                 out_h * out_w,
                 |oc_start, planes| {
                     let mut prod = vec![0.0f32; alpha * alpha];
+                    let mut scratch = vec![0.0f32; alpha * alpha];
+                    let mut y = vec![0.0f32; tile_n * tile_n];
                     for (o_local, plane) in planes.chunks_mut(out_h * out_w).enumerate() {
                         let o = oc_start + o_local;
                         let bias_v = if params.has_bias { bias[o] } else { 0.0 };
@@ -304,7 +309,7 @@ pub fn conv2d_winograd_prepared_with(
                             for pos in 0..alpha * alpha {
                                 prod[pos] = dst_ref[(pos * tiles + tile) * oc + o];
                             }
-                            let y = transforms_ref.transform_output_with(kb, &prod);
+                            transforms_ref.transform_output(&prod, &mut scratch, &mut y);
                             let oy0 = ty * tile_n;
                             let ox0 = tx * tile_n;
                             for dy in 0..tile_n {

@@ -18,7 +18,10 @@
 //! On hosts with no SIMD backend (or non-x86_64/aarch64 targets) the suite
 //! passes trivially — there is nothing to compare.
 
-use mnn_kernels::conv::{conv2d_depthwise_with, conv2d_im2col_with, ConvParams};
+use mnn_kernels::conv::{
+    conv2d_1x1_strassen_with, conv2d_depthwise_with, conv2d_im2col_with, ConvParams,
+};
+use mnn_kernels::fc::fully_connected_with;
 use mnn_kernels::gemm::{gemm_mt_with, gemm_with};
 use mnn_kernels::quant::{conv2d_quantized_with, gemm_i8_with, QuantParams};
 use mnn_kernels::simd::KernelBackend;
@@ -188,6 +191,37 @@ fn im2col_conv_matches_scalar_within_tolerance() {
 }
 
 #[test]
+fn pointwise_strassen_and_fc_match_scalar_within_tolerance() {
+    let Some(kb) = hw_backend() else { return };
+    let params = ConvParams::square(17, 9, 1, 0);
+    let (in_h, in_w) = (7, 5);
+    let mut seed = 77u64;
+    let input = randf(&mut seed, 17 * in_h * in_w);
+    let weight = randf(&mut seed, params.weight_len());
+    let simd = conv2d_1x1_strassen_with(kb, &params, 2, 1, in_h, in_w, &input, &weight, &[]);
+    let scalar = conv2d_1x1_strassen_with(
+        KernelBackend::Scalar,
+        &params,
+        2,
+        1,
+        in_h,
+        in_w,
+        &input,
+        &weight,
+        &[],
+    );
+    assert_close(&simd, &scalar, 1e-4, "strassen 1x1 17->9");
+
+    let (batch, inf, outf) = (3, 33, 10);
+    let x = randf(&mut seed, batch * inf);
+    let w = randf(&mut seed, outf * inf);
+    let bias = randf(&mut seed, outf);
+    let simd = fully_connected_with(kb, 2, batch, inf, outf, &x, &w, &bias);
+    let scalar = fully_connected_with(KernelBackend::Scalar, 2, batch, inf, outf, &x, &w, &bias);
+    assert_close(&simd, &scalar, 1e-4, "fully-connected 33->10");
+}
+
+#[test]
 fn winograd_conv_matches_scalar_within_tolerance() {
     let Some(kb) = hw_backend() else { return };
     for (ic, oc, tile, in_h, in_w) in [(4, 8, 2, 10, 10), (3, 5, 4, 13, 11), (8, 16, 4, 12, 18)] {
@@ -209,8 +243,9 @@ fn winograd_conv_matches_scalar_within_tolerance() {
             &input,
             &[],
         );
-        // Winograd chains three matrix products per tile, so rounding
-        // differences compound a little more than plain GEMM: 1e-3 relative.
+        // Only the per-position GEMM differs (the transforms are scalar on
+        // every backend), but the output transform then mixes its rounding
+        // across a tile: 1e-3 relative.
         assert_close(
             &simd,
             &scalar,
@@ -223,8 +258,8 @@ fn winograd_conv_matches_scalar_within_tolerance() {
 #[test]
 fn depthwise_conv_matches_scalar_within_tolerance() {
     let Some(kb) = hw_backend() else { return };
-    // stride 1 exercises the vectorized row-axpy fast path; stride/dilation > 1
-    // exercise the scalar-gather fallback inside the SIMD implementation.
+    // stride 1 exercises the vectorized row-axpy path; a column stride or
+    // dilation > 1 leaves no contiguous span and runs the scalar kernel.
     let cases = [
         (ConvParams::square(8, 8, 3, 1).depthwise(), 11, 9),
         (

@@ -9,23 +9,30 @@
 //! whole lifecycle honest end to end.
 //!
 //! Kept in its own integration-test binary: the gauge is process-global, so
-//! concurrent server tests in the same process would perturb it.
+//! concurrent server tests in the same process would perturb it. For the same
+//! reason the two tests here take turns (`GAUGE_LOCK`).
 
 use mnn_models::{build, ModelKind};
 use mnn_serve::Server;
 use mnn_tensor::{Shape, Tensor};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-fn queue_depth_gauge() -> mnn_obs::Gauge {
-    mnn_obs::global().gauge(
+static GAUGE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The gauge, and the turn to move it: held for the whole test.
+fn queue_depth_gauge() -> (mnn_obs::Gauge, MutexGuard<'static, ()>) {
+    let turn = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let gauge = mnn_obs::global().gauge(
         mnn_obs::metrics::names::QUEUE_DEPTH,
         "Requests currently queued across serve queues.",
-    )
+    );
+    (gauge, turn)
 }
 
 #[test]
 fn queue_gauge_returns_to_zero_after_deadline_shutdown() {
-    let gauge = queue_depth_gauge();
+    let (gauge, _turn) = queue_depth_gauge();
     let baseline = gauge.get();
 
     // One slow worker and a deep queue guarantee requests are still queued
@@ -65,7 +72,7 @@ fn queue_gauge_returns_to_zero_after_deadline_shutdown() {
 
 #[test]
 fn queue_gauge_returns_to_zero_after_full_drain() {
-    let gauge = queue_depth_gauge();
+    let (gauge, _turn) = queue_depth_gauge();
     let baseline = gauge.get();
 
     let server = Server::builder()

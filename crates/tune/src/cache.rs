@@ -19,8 +19,10 @@ use std::path::Path;
 ///
 /// History: v1 had no `kernel_set` in the fingerprint; v2 adds it so a cache
 /// tuned with SIMD kernels can never be installed by a scalar-only process
-/// (and vice versa).
-pub const TUNE_CACHE_VERSION: u32 = 2;
+/// (and vice versa); v3 drops the `-simd` scheme keys (the fingerprint's
+/// `kernel_set` alone names the instruction set), so a v2 timing of `im2col`
+/// is of a kernel v3 does not run under that name.
+pub const TUNE_CACHE_VERSION: u32 = 3;
 
 /// One candidate's measured latency (scheme stored as its canonical
 /// `ConvScheme` display string).
@@ -305,10 +307,46 @@ mod tests {
     }
 
     #[test]
+    fn v2_files_naming_simd_schemes_degrade_to_a_retune() {
+        // A real v2 file from a vector host: right fingerprint, entries keyed
+        // by schemes that no longer exist. It is another version: start
+        // empty, re-tune — never an error, never a half-parsed plan.
+        let path = temp_path("v2-simd-schemes");
+        let fp = fingerprint(2);
+        let text = format!(
+            concat!(
+                r#"{{"version": 2, "#,
+                r#""fingerprint": {{"arch": "{arch}", "cpu_features": "{feat}", "#,
+                r#""threads": {threads}, "backend": "{backend}", "#,
+                r#""kernel_set": "{kernel_set}"}}, "#,
+                r#""cache": {{"entries": {{"#,
+                r#""conv:a": {{"scheme": "im2col-simd", "measured_ms": 0.1, "candidates": ["#,
+                r#"{{"scheme": "im2col", "measured_ms": 0.3}}, "#,
+                r#"{{"scheme": "im2col-simd", "measured_ms": 0.1}}]}}, "#,
+                r#""conv:b": {{"scheme": "winograd-simd-F(4x4)", "measured_ms": 0.2, "#,
+                r#""candidates": [{{"scheme": "winograd-simd-F(4x4)", "measured_ms": 0.2}}]}}"#,
+                r#"}}}}}}"#
+            ),
+            arch = fp.arch,
+            feat = fp.cpu_features,
+            threads = fp.threads,
+            backend = fp.backend,
+            kernel_set = fp.kernel_set,
+        );
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(
+            load_cache_file(&path, &fp),
+            CacheLoad::VersionMismatch { found: 2 }
+        );
+        assert!(load_cache_file(&path, &fp).into_cache().is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn foreign_kernel_set_forces_a_retune() {
-        // A cache tuned on a SIMD host (entries naming SIMD schemes) loaded by
-        // a process with a different kernel set: the fingerprint mismatch must
-        // degrade it to an empty cache so the SIMD winners are never installed.
+        // A cache tuned on a SIMD host loaded by a process with a different
+        // kernel set: the fingerprint mismatch must degrade it to an empty
+        // cache, because its timings describe kernels this process won't run.
         let path = temp_path("kernel-set");
         let mut simd_host = fingerprint(2);
         simd_host.kernel_set = "avx2fma".to_string();
@@ -316,10 +354,10 @@ mod tests {
         cache.insert(
             &OpSignature::from_key("conv:simd-tuned"),
             TuneEntry {
-                scheme: "im2col-simd".to_string(),
+                scheme: "im2col".to_string(),
                 measured_ms: 0.1,
                 candidates: vec![CandidateMeasurement {
-                    scheme: "im2col-simd".to_string(),
+                    scheme: "im2col".to_string(),
                     measured_ms: 0.1,
                 }],
             },

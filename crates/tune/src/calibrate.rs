@@ -14,6 +14,7 @@
 use mnn_backend::timing::time_runs;
 use mnn_kernels::conv::ConvParams;
 use mnn_kernels::quant::{per_channel_scales, quantize_per_channel};
+use mnn_kernels::simd::KernelBackend;
 use mnn_kernels::{conv, quant};
 
 /// One calibration geometry's measurements.
@@ -49,8 +50,9 @@ const GEOMETRIES: [(usize, usize, usize, usize); 3] =
 /// Measure the relative cost of one int8 multiply-accumulate against one f32
 /// multiply, in the units of the scheme cost model.
 ///
-/// For each geometry the float direct kernel and the int8 kernel are timed on
-/// identical deterministic data with `threads` workers; the model equation
+/// For each geometry the float direct kernel and the int8 kernel are timed —
+/// both as sessions on this host run them, i.e. on the detected kernel set —
+/// on identical deterministic data with `threads` workers; the model equation
 /// `cost_int8 = muls · factor + quantize_pass` is then solved for `factor`
 /// (clamped to a sane range) and the median across geometries is returned.
 pub fn calibrate_int8_cost_factor(threads: usize) -> Int8Calibration {
@@ -72,8 +74,17 @@ pub fn calibrate_int8_cost_factor(threads: usize) -> Int8Calibration {
             ));
         });
         let int8_ms = time_runs(1, 3, || {
-            std::hint::black_box(quant::conv2d_quantized(
-                &params, threads, 1, size, size, &input, &weight_q, &scales, &bias,
+            std::hint::black_box(quant::conv2d_quantized_with(
+                KernelBackend::active(),
+                &params,
+                threads,
+                1,
+                size,
+                size,
+                &input,
+                &weight_q,
+                &scales,
+                &bias,
             ));
         });
 

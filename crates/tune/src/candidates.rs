@@ -11,10 +11,8 @@ use mnn_backend::ConvScheme;
 use mnn_graph::{Node, Op};
 
 /// The measurable scheme candidates for `node`, in deterministic order.
-/// `max_tile` bounds the Winograd tile-size candidates. On hosts with an
-/// active SIMD kernel set the pools include the SIMD twins of each scheme, so
-/// scalar-vs-SIMD is decided by measurement per geometry. Returns an empty
-/// pool for nodes with fewer than two viable kernels.
+/// `max_tile` bounds the Winograd tile-size candidates. Returns an empty pool
+/// for nodes with fewer than two viable kernels (depthwise layers among them).
 pub fn candidates_for_node(node: &Node, max_tile: usize) -> Vec<ConvScheme> {
     let pool = match &node.op {
         Op::Conv2d(attrs) | Op::Conv2dFused { attrs, .. } => {
@@ -68,25 +66,10 @@ mod tests {
     }
 
     #[test]
-    fn depthwise_conv_is_measurable_only_when_simd_offers_a_twin() {
+    fn depthwise_conv_has_one_kernel_and_nothing_to_measure() {
         let node =
             first_node(|b, x| b.conv2d_auto("c", x, Conv2dAttrs::depthwise_3x3(8, 1), false));
-        let pool = candidates_for_node(&node, 6);
-        if mnn_kernels::simd::simd_available() {
-            // scalar depthwise vs its SIMD twin: a real choice to measure.
-            assert_eq!(pool, vec![ConvScheme::Depthwise, ConvScheme::DepthwiseSimd]);
-        } else {
-            // Single kernel, nothing to measure.
-            assert!(pool.is_empty());
-        }
-    }
-
-    #[test]
-    fn float_pool_offers_simd_twins_only_when_available() {
-        let node = first_node(|b, x| b.conv2d_auto("c", x, Conv2dAttrs::same_3x3(8, 8), false));
-        let pool = candidates_for_node(&node, 4);
-        let has_simd = pool.iter().any(|s| s.is_simd());
-        assert_eq!(has_simd, mnn_kernels::simd::simd_available());
+        assert!(candidates_for_node(&node, 6).is_empty());
     }
 
     #[test]

@@ -119,8 +119,7 @@
 //! activation is carried into the quantized node. Depthwise convolutions are
 //! the deliberate exception: they stay on the f32 depthwise kernel (their
 //! weights are dequantized once at preparation time) because one input channel
-//! per group leaves no integer-GEMM reuse to exploit — on SIMD hosts the tuner
-//! still chooses between its scalar and vectorized forms. Everything
+//! per group leaves no integer-GEMM reuse to exploit. Everything
 //! else — dynamic resizing, the per-signature plan cache, [`SessionPool`] and
 //! `mnn-serve` micro-batching — composes with quantized graphs unchanged.
 //!
@@ -159,34 +158,34 @@
 //!
 //! ## SIMD kernels
 //!
-//! The hot kernels — f32 GEMM, int8 GEMM, the Winograd transforms and the
-//! depthwise convolution — have explicit `std::arch` implementations:
-//! AVX2+FMA on x86_64 and NEON on aarch64, selected **at runtime** by
-//! [`kernels::simd::KernelBackend::active`](mnn_kernels::simd::KernelBackend),
-//! with the portable scalar kernels as the always-available fallback. Rather
-//! than hard-switching, each vectorized kernel is registered as an additional
-//! *tuning candidate* (`Im2colGemmSimd`, `WinogradSimd`, `QuantizedGemmSimd`,
-//! `DepthwiseSimd` in [`ConvScheme`]), so auto-tuning decides scalar-vs-SIMD
-//! empirically per layer; with tuning off, the cost model keeps choosing among
-//! the scalar schemes only — SIMD placements are always measured, never
-//! guessed.
+//! Kernels run on the detected ISA; `MNN_SIMD=scalar` is the only override;
+//! pre-inference chooses the algorithm.
 //!
-//! Two overrides exist: the `MNN_SIMD=scalar` environment variable forces the
-//! scalar kernels process-wide (that is what the forced-scalar CI job sets),
-//! and [`SessionConfigBuilder::force_scalar`](SessionConfig) pins a single
-//! session to scalar by filtering its candidate pools. The chosen kernel set
-//! (`scalar` / `avx2fma` / `neon`) is part of the tuning-cache device
-//! fingerprint, so a cache tuned with SIMD kernels is never installed on a
-//! host that lacks them. The conformance contract — int8 paths bit-identical
-//! to scalar, f32 paths within a documented tolerance — is locked by
+//! The hot kernels — f32 GEMM (under im2col, Winograd's per-position
+//! products, Strassen's base case and fully-connected layers), int8 GEMM and
+//! the depthwise convolution — have explicit `std::arch` implementations:
+//! AVX2+FMA on x86_64 and NEON on aarch64, with the portable scalar kernels
+//! as the fallback.
+//! [`kernels::simd::KernelBackend::active`](mnn_kernels::simd::KernelBackend)
+//! resolves the kernel set once per process, the CPU backend captures it, and
+//! every execution it creates dispatches to it — whether the plan came from
+//! the cost model or from measurements. A [`ConvScheme`] therefore names an
+//! algorithm only. `MNN_SIMD=scalar` (or `off`/`0`) pins the process to the
+//! scalar kernels; the forced-scalar CI job and the conformance references
+//! use it.
+//!
+//! The kernel set (`scalar` / `avx2fma` / `neon`) is what `/v1/status` and
+//! `mnn_build_info` report, and it is part of the tuning-cache device
+//! fingerprint, so measurements taken with one kernel set are never installed
+//! under another. The conformance contract — int8 paths bit-identical to
+//! scalar, f32 paths within a documented tolerance — is locked by
 //! `crates/kernels/tests/simd_conformance.rs`.
 //!
 //! ```
-//! use mnn::kernels::simd::{active_kernel_set, simd_available, KernelBackend};
+//! use mnn::kernels::simd::{active_kernel_set, KernelBackend};
 //!
 //! let kb = KernelBackend::active(); // detected once per process
 //! assert!(kb.hw_supported());
-//! assert_eq!(simd_available(), kb.is_simd());
 //! assert_eq!(active_kernel_set(), kb.name()); // "scalar" | "avx2fma" | "neon"
 //! ```
 //!

@@ -134,3 +134,67 @@ fn capability_table_reports_cpu_as_superset_of_gpu() {
     assert!(row.cpu_ops.unwrap() >= row.vulkan_ops.unwrap());
     assert!(row.vulkan_ops.unwrap() > 0);
 }
+
+/// What a server reports as its kernel set (`/v1/status` and `mnn_build_info`
+/// read `obs::resources::build_info`) is what a default-config session's
+/// convolutions run on: each one's output has the bits of calling its planned
+/// algorithm directly with `KernelBackend::active()`.
+#[test]
+fn default_sessions_run_on_the_reported_kernel_set() {
+    use mnn::graph::Conv2dAttrs;
+    use mnn::kernels::simd::KernelBackend;
+    use mnn::kernels::{conv, winograd};
+
+    let kb = KernelBackend::active();
+    assert_eq!(mnn::obs::resources::build_info().kernel_backend, kb.name());
+
+    for (attrs, size) in [
+        (Conv2dAttrs::same_3x3(16, 16), 32),
+        (Conv2dAttrs::square(3, 16, 3, 2, 1), 33),
+        (Conv2dAttrs::pointwise(16, 24), 17),
+        (Conv2dAttrs::depthwise_3x3(16, 1), 19),
+    ] {
+        let mut b = mnn::GraphBuilder::new("one-conv");
+        let shape = Shape::nchw(1, attrs.in_channels, size, size);
+        let x = b.input("x", shape.clone());
+        let y = b.conv2d_auto("conv", x, attrs.clone(), true);
+        let graph = b.build(vec![y]);
+        let node = &graph.nodes()[0];
+        let weight = graph.constant(node.inputs[1]).unwrap().data_f32().to_vec();
+        let bias = graph.constant(node.inputs[2]).unwrap().data_f32().to_vec();
+        let data: Vec<f32> = (0..shape.num_elements())
+            .map(|i| ((i * 7 % 31) as f32 - 15.0) * 0.03)
+            .collect();
+        let input = Tensor::from_vec(shape, data);
+
+        let mut session = Interpreter::from_graph(graph)
+            .unwrap()
+            .create_session(SessionConfig::cpu(1))
+            .unwrap();
+        let scheme = session.report().placements[0].scheme.unwrap();
+        let got = session.run_with(&[("x", &input)]).unwrap();
+
+        let params = attrs.with_bias().to_conv_params();
+        let (x, w, b) = (input.data_f32(), &weight[..], &bias[..]);
+        let direct = match scheme {
+            ConvScheme::SlidingWindow => {
+                conv::conv2d_sliding_window(&params, 1, 1, size, size, x, w, b)
+            }
+            ConvScheme::Im2col => conv::conv2d_im2col_with(kb, &params, 1, 1, size, size, x, w, b),
+            ConvScheme::Winograd { tile } => {
+                let prepared = winograd::prepare_winograd_weights(&params, tile, w);
+                winograd::conv2d_winograd_prepared_with(
+                    kb, &params, &prepared, 1, 1, size, size, x, b,
+                )
+            }
+            ConvScheme::Strassen1x1 => {
+                conv::conv2d_1x1_strassen_with(kb, &params, 1, 1, size, size, x, w, b)
+            }
+            ConvScheme::Depthwise => {
+                conv::conv2d_depthwise_with(kb, &params, 1, 1, size, size, x, w, b)
+            }
+            ConvScheme::QuantizedGemm => unreachable!("float graph"),
+        };
+        assert_eq!(got[0].data_f32(), direct, "{scheme} on {}", kb.name());
+    }
+}
