@@ -1,14 +1,17 @@
 //! The CPU backend: real multi-threaded execution of `mnn-kernels`.
 
-use crate::traits::{Backend, BackendDescriptor, ConvScheme, Execution, ForwardType, SchemeHint};
+use crate::traits::{
+    Backend, BackendDescriptor, ConvScheme, Execution, ForwardType, Inputs, SchemeHint,
+};
 use crate::BackendError;
 use mnn_graph::{ActivationKind, Conv2dAttrs, Graph, Node, Op, QuantAttrs, TensorId};
 use mnn_kernels::activation::Activation;
 use mnn_kernels::conv::ConvParams;
 use mnn_kernels::simd::KernelBackend;
 use mnn_kernels::winograd::PreparedWinogradWeights;
-use mnn_kernels::{activation, conv, elementwise, fc, norm, pool, quant, winograd};
-use mnn_tensor::{Shape, Tensor};
+use mnn_kernels::{activation, conv, elementwise, fc, gemm, norm, pool, quant, winograd};
+use mnn_kernels::{Scratch, ScratchLen};
+use mnn_tensor::{Shape, Tensor, TensorView};
 use std::sync::Arc;
 
 /// Estimated sustained FLOPs per second per CPU thread used by the cost model when
@@ -146,9 +149,7 @@ impl Backend for CpuBackend {
             Op::Pool(attrs) => Ok(Box::new(PoolExec {
                 params: attrs.to_pool_params(),
             })),
-            Op::Activation(kind) => Ok(Box::new(ActivationExec {
-                activation: kind.to_kernel(),
-            })),
+            Op::Activation(kind) => Ok(Box::new(InPlaceExec::Activation(kind.to_kernel()))),
             Op::Binary(kind) => Ok(Box::new(BinaryExec {
                 op: kind.to_kernel(),
             })),
@@ -158,7 +159,7 @@ impl Backend for CpuBackend {
                 let var = Self::constant(graph, node.inputs[2], "batchnorm variance")?;
                 let gamma = Self::constant(graph, node.inputs[3], "batchnorm gamma")?;
                 let beta = Self::constant(graph, node.inputs[4], "batchnorm beta")?;
-                Ok(Box::new(BatchNormExec {
+                Ok(Box::new(InPlaceExec::BatchNorm {
                     mean,
                     var,
                     gamma,
@@ -169,7 +170,7 @@ impl Backend for CpuBackend {
             Op::Scale => {
                 let scale = Self::constant(graph, node.inputs[1], "scale factors")?;
                 let shift = Self::constant(graph, node.inputs[2], "scale shifts")?;
-                Ok(Box::new(ScaleExec { scale, shift }))
+                Ok(Box::new(InPlaceExec::Scale { scale, shift }))
             }
             Op::FullyConnected {
                 in_features,
@@ -182,9 +183,10 @@ impl Backend for CpuBackend {
                 } else {
                     None
                 };
+                let weight_t = gemm::transpose(*out_features, *in_features, weight.data_f32());
                 Ok(Box::new(FullyConnectedExec {
                     kernel_backend: self.kernel_backend,
-                    weight,
+                    weight: FcWeight::Float(weight_t),
                     bias,
                     in_features: *in_features,
                     out_features: *out_features,
@@ -210,26 +212,17 @@ impl Backend for CpuBackend {
                 } else {
                     None
                 };
-                Ok(Box::new(QuantFullyConnectedExec {
-                    weight,
-                    scales: quant.weight_scales.clone(),
+                Ok(Box::new(FullyConnectedExec {
+                    kernel_backend: self.kernel_backend,
+                    weight: FcWeight::Int8(weight, quant.weight_scales.clone()),
                     bias,
                     in_features: *in_features,
                     out_features: *out_features,
                     threads,
                 }))
             }
-            Op::Softmax(_) => Ok(Box::new(SoftmaxExec)),
-            Op::Flatten(attrs) => Ok(Box::new(ReshapeLikeExec {
-                kind: ReshapeKind::Flatten {
-                    start_axis: attrs.start_axis,
-                },
-            })),
-            Op::Reshape { shape } => Ok(Box::new(ReshapeLikeExec {
-                kind: ReshapeKind::Explicit {
-                    shape: Shape::new(shape.clone()),
-                },
-            })),
+            Op::Softmax(_) => Ok(Box::new(InPlaceExec::Softmax)),
+            Op::Flatten(_) | Op::Reshape { .. } => Ok(Box::new(InPlaceExec::Reshape)),
         }
     }
 }
@@ -253,7 +246,7 @@ impl CpuBackend {
         let scheme = hint
             .conv_scheme
             .unwrap_or_else(|| Self::default_conv_scheme(&params));
-        self.build_float_conv_exec(params, scheme, weight, bias, fused, hint)
+        self.build_conv_exec(params, scheme, weight, Vec::new(), bias, fused, hint)
     }
 
     /// Convolution over int8 weights. The integer scheme captures the i8 weights
@@ -295,32 +288,29 @@ impl CpuBackend {
             .conv_scheme
             .unwrap_or_else(|| Self::default_quantized_conv_scheme(&params));
         if scheme == ConvScheme::QuantizedGemm {
-            return Ok(Box::new(QuantConvExec {
-                params,
-                kernel_backend: self.kernel_backend,
-                weight,
-                scales: quant.weight_scales.clone(),
-                bias,
-                activation: fused.to_kernel(),
-                threads: self.threads_for(hint),
-            }));
+            let scales = quant.weight_scales.clone();
+            return self.build_conv_exec(params, scheme, weight, scales, bias, fused, hint);
         }
         // f32 fallback: dequantize the weights once and run the float kernels.
         let dequantized = quant::dequantize_per_channel(weight_q, &quant.weight_scales);
         let weight_f32 = Arc::new(Tensor::from_vec(weight.shape().clone(), dequantized));
-        self.build_float_conv_exec(params, scheme, weight_f32, bias, fused, hint)
+        self.build_conv_exec(params, scheme, weight_f32, Vec::new(), bias, fused, hint)
     }
 
-    fn build_float_conv_exec(
+    /// `scales` are the per-output-channel scales of an i8 `weight`, which only
+    /// the quantized-gemm scheme takes; every other scheme runs on f32 weights.
+    #[allow(clippy::too_many_arguments)]
+    fn build_conv_exec(
         &self,
         params: ConvParams,
         scheme: ConvScheme,
         weight: Arc<Tensor>,
+        scales: Vec<f32>,
         bias: Option<Arc<Tensor>>,
         fused: ActivationKind,
         hint: &SchemeHint,
     ) -> Result<Box<dyn Execution>, BackendError> {
-        if scheme == ConvScheme::QuantizedGemm {
+        if scheme == ConvScheme::QuantizedGemm && weight.try_data_i8().is_err() {
             return Err(BackendError::InvalidTensor(
                 "the quantized-gemm scheme requires i8 weights (float convolution given)".into(),
             ));
@@ -338,6 +328,7 @@ impl CpuBackend {
             scheme,
             kernel_backend: self.kernel_backend,
             weight,
+            scales,
             bias,
             prepared,
             activation: fused.to_kernel(),
@@ -350,12 +341,47 @@ impl CpuBackend {
 // Execution implementations
 // ---------------------------------------------------------------------------
 
+/// The single 4-D activation input of a convolution, with its
+/// `(batch, height, width)`.
+fn spatial_input(
+    inputs: &dyn Inputs,
+) -> Result<(TensorView<'_>, usize, usize, usize), BackendError> {
+    if inputs.count() == 0 {
+        return Err(BackendError::ShapeMismatch(
+            "convolution needs one input".into(),
+        ));
+    }
+    let input = inputs.get(0);
+    let shape = input.shape();
+    if !shape.is_4d() {
+        return Err(BackendError::InvalidTensor(format!(
+            "convolution input must be 4-D, got {shape}"
+        )));
+    }
+    Ok((input, shape.batch(), shape.height(), shape.width()))
+}
+
+/// `inputs[0]`'s `(batch, height, width)` when it is the 4-D activation a
+/// convolution runs on (`run` rejects anything else, and needs no scratch).
+fn spatial_dims(inputs: &[&Shape]) -> Option<(usize, usize, usize)> {
+    let shape = inputs.first().filter(|shape| shape.is_4d())?;
+    Some((shape.batch(), shape.height(), shape.width()))
+}
+
+fn data_or_empty(tensor: &Option<Arc<Tensor>>) -> &[f32] {
+    tensor.as_ref().map_or(&[], |t| t.data_f32())
+}
+
 /// Convolution execution with a pre-selected scheme.
 struct ConvExec {
     params: ConvParams,
     scheme: ConvScheme,
     kernel_backend: KernelBackend,
+    /// i8 for the quantized-gemm scheme (activations are quantized per sample
+    /// at run time, accumulation is `i32`), f32 for every other.
     weight: Arc<Tensor>,
+    /// One scale per output channel of an i8 `weight`.
+    scales: Vec<f32>,
     bias: Option<Arc<Tensor>>,
     /// Winograd weights transformed once at creation time (paper Fig. 3:
     /// preparation work hoisted out of the inference loop).
@@ -365,30 +391,44 @@ struct ConvExec {
 }
 
 impl Execution for ConvExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs
-            .first()
-            .ok_or_else(|| BackendError::ShapeMismatch("convolution needs one input".into()))?;
-        let shape = input.shape();
-        if !shape.is_4d() {
-            return Err(BackendError::InvalidTensor(format!(
-                "convolution input must be 4-D, got {shape}"
-            )));
+    fn scratch(&self, inputs: &[&Shape]) -> ScratchLen {
+        let Some((batch, in_h, in_w)) = spatial_dims(inputs) else {
+            return ScratchLen::default();
+        };
+        match self.scheme {
+            ConvScheme::Im2col => conv::im2col_scratch(&self.params, in_h, in_w),
+            ConvScheme::Winograd { tile } => {
+                winograd::winograd_scratch(&self.params, tile, self.threads, in_h, in_w)
+            }
+            ConvScheme::Strassen1x1 => conv::strassen_1x1_scratch(&self.params, in_h, in_w),
+            ConvScheme::QuantizedGemm => {
+                quant::conv2d_quantized_scratch(&self.params, self.threads, batch, in_h, in_w)
+            }
+            ConvScheme::SlidingWindow | ConvScheme::Depthwise => ScratchLen::default(),
         }
-        let (batch, in_h, in_w) = (shape.batch(), shape.height(), shape.width());
-        let x = input.data_f32();
-        let w = self.weight.data_f32();
-        let empty: &[f32] = &[];
-        let b = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
+    }
+
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let (input, batch, in_h, in_w) = spatial_input(inputs)?;
+        let x = input.data();
+        // Empty for the i8 weights of the quantized-gemm arm, which reads them
+        // itself.
+        let w = self.weight.try_data_f32().unwrap_or(&[]);
+        let b = data_or_empty(&self.bias);
         let (kb, params, threads) = (self.kernel_backend, &self.params, self.threads);
-        let mut result = match self.scheme {
+        match self.scheme {
             // The direct kernel has no vector form.
             ConvScheme::SlidingWindow => {
-                conv::conv2d_sliding_window(params, threads, batch, in_h, in_w, x, w, b)
+                conv::conv2d_sliding_window(params, threads, batch, in_h, in_w, x, w, b, output)
             }
-            ConvScheme::Im2col => {
-                conv::conv2d_im2col_with(kb, params, threads, batch, in_h, in_w, x, w, b)
-            }
+            ConvScheme::Im2col => conv::conv2d_im2col_with(
+                kb, params, threads, batch, in_h, in_w, x, w, b, output, scratch,
+            ),
             ConvScheme::Winograd { tile } => {
                 // `create_conv` always prepares weights for the selected tile; a
                 // mismatch is a programming error. Do NOT silently re-transform
@@ -400,140 +440,39 @@ impl Execution for ConvExec {
                     .filter(|p| p.tile() == tile)
                     .expect("Winograd execution created without matching prepared weights");
                 winograd::conv2d_winograd_prepared_with(
-                    kb, params, prepared, threads, batch, in_h, in_w, x, b,
+                    kb, params, prepared, threads, batch, in_h, in_w, x, b, output, scratch,
                 )
             }
-            ConvScheme::Strassen1x1 => {
-                conv::conv2d_1x1_strassen_with(kb, params, threads, batch, in_h, in_w, x, w, b)
-            }
+            ConvScheme::Strassen1x1 => conv::conv2d_1x1_strassen_with(
+                kb, params, threads, batch, in_h, in_w, x, w, b, output, scratch,
+            ),
             ConvScheme::Depthwise => {
-                conv::conv2d_depthwise_with(kb, params, threads, batch, in_h, in_w, x, w, b)
+                conv::conv2d_depthwise_with(kb, params, threads, batch, in_h, in_w, x, w, b, output)
             }
             ConvScheme::QuantizedGemm => {
-                // Float executions are never created with the integer scheme
-                // (`build_float_conv_exec` rejects it).
-                return Err(BackendError::InvalidTensor(
-                    "float convolution execution cannot run the quantized-gemm scheme".into(),
-                ));
+                // `build_conv_exec` lets only i8 weights meet this scheme.
+                let weight_q = self
+                    .weight
+                    .try_data_i8()
+                    .map_err(|e| BackendError::InvalidTensor(e.to_string()))?;
+                let scales = &self.scales;
+                quant::conv2d_quantized_with(
+                    kb, params, threads, batch, in_h, in_w, x, weight_q, scales, b, output, scratch,
+                )
             }
         };
-        self.activation.apply(&mut result);
-        let (oh, ow) = self.params.output_size(in_h, in_w);
-        *output = Tensor::from_vec(Shape::nchw(batch, self.params.out_channels, oh, ow), result);
+        self.activation.apply(output);
         Ok(())
     }
 
     fn describe(&self) -> String {
-        format!(
-            "conv {}x{} via {}",
-            self.params.kernel_h, self.params.kernel_w, self.scheme
-        )
-    }
-}
-
-/// Convolution executed with the int8 integer kernel: i8 weights captured at
-/// creation, activations quantized per sample at run time, `i32` accumulation.
-struct QuantConvExec {
-    params: ConvParams,
-    /// Every kernel set produces identical bits here (exact `i32` math).
-    kernel_backend: KernelBackend,
-    weight: Arc<Tensor>,
-    scales: Vec<f32>,
-    bias: Option<Arc<Tensor>>,
-    activation: Activation,
-    threads: usize,
-}
-
-impl Execution for QuantConvExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs.first().ok_or_else(|| {
-            BackendError::ShapeMismatch("quantized convolution needs one input".into())
-        })?;
-        let shape = input.shape();
-        if !shape.is_4d() {
-            return Err(BackendError::InvalidTensor(format!(
-                "convolution input must be 4-D, got {shape}"
-            )));
-        }
-        let (batch, in_h, in_w) = (shape.batch(), shape.height(), shape.width());
-        let empty: &[f32] = &[];
-        let b = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
-        let weight_q = self
-            .weight
-            .try_data_i8()
-            .map_err(|e| BackendError::InvalidTensor(e.to_string()))?;
-        let mut result = quant::conv2d_quantized_with(
-            self.kernel_backend,
-            &self.params,
-            self.threads,
-            batch,
-            in_h,
-            in_w,
-            input.data_f32(),
-            weight_q,
-            &self.scales,
-            b,
-        );
-        self.activation.apply(&mut result);
-        let (oh, ow) = self.params.output_size(in_h, in_w);
-        *output = Tensor::from_vec(Shape::nchw(batch, self.params.out_channels, oh, ow), result);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "conv {}x{} via {} (int8)",
-            self.params.kernel_h,
-            self.params.kernel_w,
-            ConvScheme::QuantizedGemm
-        )
-    }
-}
-
-/// Fully-connected layer over int8 weights with per-output-feature scales.
-struct QuantFullyConnectedExec {
-    weight: Arc<Tensor>,
-    scales: Vec<f32>,
-    bias: Option<Arc<Tensor>>,
-    in_features: usize,
-    out_features: usize,
-    threads: usize,
-}
-
-impl Execution for QuantFullyConnectedExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs[0];
-        let total = input.shape().num_elements();
-        if !total.is_multiple_of(self.in_features) {
-            return Err(BackendError::ShapeMismatch(format!(
-                "fully-connected input {} is not divisible by in_features {}",
-                input.shape(),
-                self.in_features
-            )));
-        }
-        let batch = total / self.in_features;
-        let empty: &[f32] = &[];
-        let bias = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
-        let weight_q = self
-            .weight
-            .try_data_i8()
-            .map_err(|e| BackendError::InvalidTensor(e.to_string()))?;
-        let data = quant::fully_connected_quantized(
-            self.threads,
-            batch,
-            self.in_features,
-            self.out_features,
-            input.data_f32(),
-            weight_q,
-            &self.scales,
-            bias,
-        );
-        *output = Tensor::from_vec(Shape::matrix(batch, self.out_features), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "fully-connected via quantized-gemm (int8)".to_string()
+        let (kh, kw) = (self.params.kernel_h, self.params.kernel_w);
+        let int8 = if self.scales.is_empty() {
+            ""
+        } else {
+            " (int8)"
+        };
+        format!("conv {kh}x{kw} via {}{int8}", self.scheme)
     }
 }
 
@@ -542,19 +481,23 @@ struct PoolExec {
 }
 
 impl Execution for PoolExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs[0];
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        _scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let input = inputs.get(0);
         let s = input.shape();
-        let result = pool::pool2d(
+        pool::pool2d(
             &self.params,
             s.batch(),
             s.channels(),
             s.height(),
             s.width(),
-            input.data_f32(),
+            input.data(),
+            output,
         );
-        let (oh, ow) = self.params.output_size(s.height(), s.width());
-        *output = Tensor::from_vec(Shape::nchw(s.batch(), s.channels(), oh, ow), result);
         Ok(())
     }
 
@@ -563,38 +506,26 @@ impl Execution for PoolExec {
     }
 }
 
-struct ActivationExec {
-    activation: Activation,
-}
-
-impl Execution for ActivationExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let mut data = inputs[0].data_f32().to_vec();
-        self.activation.apply(&mut data);
-        *output = Tensor::from_vec(inputs[0].shape().clone(), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "activation".to_string()
-    }
-}
-
 struct BinaryExec {
     op: elementwise::BinaryOp,
 }
 
 impl Execution for BinaryExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        if inputs[0].shape() != inputs[1].shape() {
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        _scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let (a, b) = (inputs.get(0), inputs.get(1));
+        if a.shape() != b.shape() {
             return Err(BackendError::ShapeMismatch(format!(
                 "binary operands {} vs {}",
-                inputs[0].shape(),
-                inputs[1].shape()
+                a.shape(),
+                b.shape()
             )));
         }
-        let data = elementwise::binary(self.op, inputs[0].data_f32(), inputs[1].data_f32());
-        *output = Tensor::from_vec(inputs[0].shape().clone(), data);
+        elementwise::binary(self.op, a.data(), b.data(), output);
         Ok(())
     }
 
@@ -606,19 +537,23 @@ impl Execution for BinaryExec {
 struct ConcatExec;
 
 impl Execution for ConcatExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let first = inputs[0].shape();
-        let plane = first.height() * first.width();
-        let batch = first.batch();
-        let parts: Vec<(&[f32], usize)> = inputs
-            .iter()
-            .map(|t| (t.data_f32(), t.shape().channels()))
-            .collect();
-        let (data, channels) = elementwise::concat_channels(&parts, batch, plane);
-        *output = Tensor::from_vec(
-            Shape::nchw(batch, channels, first.height(), first.width()),
-            data,
-        );
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        _scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let first = inputs.get(0).shape();
+        let (batch, plane) = (first.batch(), first.height() * first.width());
+        let channels = |index: usize| inputs.get(index).shape().channels();
+        let total: usize = (0..inputs.count()).map(channels).sum();
+        let mut offset = 0;
+        for index in 0..inputs.count() {
+            let part = inputs.get(index);
+            let c = part.shape().channels();
+            elementwise::concat_channels(output, total, offset, part.data(), c, batch, plane);
+            offset += c;
+        }
         Ok(())
     }
 
@@ -627,67 +562,16 @@ impl Execution for ConcatExec {
     }
 }
 
-struct BatchNormExec {
-    mean: Arc<Tensor>,
-    var: Arc<Tensor>,
-    gamma: Arc<Tensor>,
-    beta: Arc<Tensor>,
-    epsilon: f32,
-}
-
-impl Execution for BatchNormExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let s = inputs[0].shape();
-        let mut data = inputs[0].data_f32().to_vec();
-        norm::batch_norm_inplace(
-            &mut data,
-            s.batch(),
-            s.channels(),
-            s.height() * s.width(),
-            self.mean.data_f32(),
-            self.var.data_f32(),
-            self.gamma.data_f32(),
-            self.beta.data_f32(),
-            self.epsilon,
-        );
-        *output = Tensor::from_vec(s.clone(), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "batch-norm".to_string()
-    }
-}
-
-struct ScaleExec {
-    scale: Arc<Tensor>,
-    shift: Arc<Tensor>,
-}
-
-impl Execution for ScaleExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let s = inputs[0].shape();
-        let mut data = inputs[0].data_f32().to_vec();
-        norm::scale_inplace(
-            &mut data,
-            s.batch(),
-            s.channels(),
-            s.height() * s.width(),
-            self.scale.data_f32(),
-            self.shift.data_f32(),
-        );
-        *output = Tensor::from_vec(s.clone(), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "scale".to_string()
-    }
+enum FcWeight {
+    /// The `[out, in]` f32 weight transposed to `[in, out]`, once, at creation.
+    Float(Vec<f32>),
+    /// The `[out, in]` i8 weight and its per-output-feature scales.
+    Int8(Arc<Tensor>, Vec<f32>),
 }
 
 struct FullyConnectedExec {
     kernel_backend: KernelBackend,
-    weight: Arc<Tensor>,
+    weight: FcWeight,
     bias: Option<Arc<Tensor>>,
     in_features: usize,
     out_features: usize,
@@ -695,8 +579,22 @@ struct FullyConnectedExec {
 }
 
 impl Execution for FullyConnectedExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs[0];
+    fn scratch(&self, _inputs: &[&Shape]) -> ScratchLen {
+        match self.weight {
+            FcWeight::Float(_) => ScratchLen::default(),
+            FcWeight::Int8(..) => {
+                quant::fully_connected_quantized_scratch(self.threads, self.in_features)
+            }
+        }
+    }
+
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let input = inputs.get(0);
         let total = input.shape().num_elements();
         if !total.is_multiple_of(self.in_features) {
             return Err(BackendError::ShapeMismatch(format!(
@@ -705,88 +603,156 @@ impl Execution for FullyConnectedExec {
                 self.in_features
             )));
         }
-        let batch = total / self.in_features;
-        let empty: &[f32] = &[];
-        let bias = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
-        let data = fc::fully_connected_with(
-            self.kernel_backend,
-            self.threads,
-            batch,
+        let (batch, inf, outf) = (
+            total / self.in_features,
             self.in_features,
             self.out_features,
-            input.data_f32(),
-            self.weight.data_f32(),
-            bias,
         );
-        *output = Tensor::from_vec(Shape::matrix(batch, self.out_features), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "fully-connected".to_string()
-    }
-}
-
-struct SoftmaxExec;
-
-impl Execution for SoftmaxExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let s = inputs[0].shape();
-        let axis_len = *s.dims().last().unwrap_or(&1);
-        let mut data = inputs[0].data_f32().to_vec();
-        activation::softmax_inplace(&mut data, axis_len.max(1));
-        *output = Tensor::from_vec(s.clone(), data);
-        Ok(())
-    }
-
-    fn describe(&self) -> String {
-        "softmax".to_string()
-    }
-}
-
-enum ReshapeKind {
-    Flatten { start_axis: usize },
-    Explicit { shape: Shape },
-}
-
-struct ReshapeLikeExec {
-    kind: ReshapeKind,
-}
-
-impl Execution for ReshapeLikeExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        let input = inputs[0];
-        let target = match &self.kind {
-            ReshapeKind::Flatten { start_axis } => {
-                let dims = input.shape().dims();
-                let axis = (*start_axis).min(dims.len());
-                let mut out: Vec<usize> = dims[..axis].to_vec();
-                out.push(dims[axis..].iter().product());
-                Shape::new(out)
+        let (x, bias, threads) = (input.data(), data_or_empty(&self.bias), self.threads);
+        match &self.weight {
+            FcWeight::Float(weight_t) => {
+                let kb = self.kernel_backend;
+                fc::fully_connected_with(kb, threads, batch, inf, outf, x, weight_t, bias, output)
             }
-            ReshapeKind::Explicit { shape } => shape.clone(),
-        };
-        if target.num_elements() != input.shape().num_elements() {
+            FcWeight::Int8(weight, scales) => {
+                let weight_q = weight
+                    .try_data_i8()
+                    .map_err(|e| BackendError::InvalidTensor(e.to_string()))?;
+                quant::fully_connected_quantized(
+                    threads, batch, inf, outf, x, weight_q, scales, bias, output, scratch,
+                )
+            }
+        }
+        Ok(())
+    }
+
+    fn describe(&self) -> String {
+        match self.weight {
+            FcWeight::Float(_) => "fully-connected",
+            FcWeight::Int8(..) => "fully-connected via quantized-gemm (int8)",
+        }
+        .to_string()
+    }
+}
+
+/// The operators that rewrite their input element by element, one execution:
+/// the input is copied into the output region and transformed there.
+enum InPlaceExec {
+    Activation(Activation),
+    BatchNorm {
+        mean: Arc<Tensor>,
+        var: Arc<Tensor>,
+        gamma: Arc<Tensor>,
+        beta: Arc<Tensor>,
+        epsilon: f32,
+    },
+    Scale {
+        scale: Arc<Tensor>,
+        shift: Arc<Tensor>,
+    },
+    Softmax,
+    /// Flatten and reshape: row-major data does not move when only the shape
+    /// changes, and the new shape is shape inference's business.
+    Reshape,
+}
+
+impl Execution for InPlaceExec {
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        _scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        let input = inputs.get(0);
+        let s = input.shape();
+        if output.len() != input.data().len() {
             return Err(BackendError::ShapeMismatch(format!(
-                "reshape from {} to {} changes element count",
-                input.shape(),
-                target
+                "{} from {s} to {} elements changes element count",
+                self.describe(),
+                output.len()
             )));
         }
-        *output = Tensor::from_vec(target, input.data_f32().to_vec());
+        output.copy_from_slice(input.data());
+        let channel_planes = || (s.batch(), s.channels(), s.height() * s.width());
+        match self {
+            InPlaceExec::Activation(activation) => activation.apply(output),
+            InPlaceExec::BatchNorm {
+                mean,
+                var,
+                gamma,
+                beta,
+                epsilon,
+            } => {
+                let (batch, channels, plane) = channel_planes();
+                norm::batch_norm_inplace(
+                    output,
+                    batch,
+                    channels,
+                    plane,
+                    mean.data_f32(),
+                    var.data_f32(),
+                    gamma.data_f32(),
+                    beta.data_f32(),
+                    *epsilon,
+                );
+            }
+            InPlaceExec::Scale { scale, shift } => {
+                let (batch, channels, plane) = channel_planes();
+                norm::scale_inplace(
+                    output,
+                    batch,
+                    channels,
+                    plane,
+                    scale.data_f32(),
+                    shift.data_f32(),
+                );
+            }
+            InPlaceExec::Softmax => {
+                let axis_len = *s.dims().last().unwrap_or(&1);
+                activation::softmax_inplace(output, axis_len.max(1));
+            }
+            InPlaceExec::Reshape => {}
+        }
         Ok(())
     }
 
     fn describe(&self) -> String {
-        "reshape".to_string()
+        match self {
+            InPlaceExec::Activation(_) => "activation",
+            InPlaceExec::BatchNorm { .. } => "batch-norm",
+            InPlaceExec::Scale { .. } => "scale",
+            InPlaceExec::Softmax => "softmax",
+            InPlaceExec::Reshape => "reshape",
+        }
+        .to_string()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mnn_graph::{GraphBuilder, PoolAttrs};
     use mnn_tensor::Shape;
+
+    /// Create the execution of `graph`'s first node on `backend` and run it once on
+    /// `input`, into an output and a scratch sized the way a session would (the
+    /// output starts as NaN, so a kernel that assumed zeroes shows).
+    pub(crate) fn run_first_node(
+        graph: &Graph,
+        backend: &dyn Backend,
+        input: &Tensor,
+        hint: &SchemeHint,
+    ) -> Result<Tensor, BackendError> {
+        let mut graph = graph.clone();
+        graph.infer_shapes().unwrap();
+        let node = &graph.nodes()[0];
+        let shape = graph.tensor_info(node.outputs[0]).unwrap().shape.clone();
+        let mut execution = backend.on_create(node, &graph, hint)?;
+        let mut scratch = Scratch::new(execution.scratch(&[input.shape()]));
+        let mut output = Tensor::full(shape.unwrap(), f32::NAN);
+        execution.run(&[input.view()], output.data_f32_mut(), &mut scratch)?;
+        Ok(output)
+    }
 
     fn run_single_node_graph(
         graph: &Graph,
@@ -794,11 +760,7 @@ mod tests {
         input: &Tensor,
         hint: &SchemeHint,
     ) -> Tensor {
-        let node = &graph.nodes()[0];
-        let mut exec = backend.on_create(node, graph, hint).unwrap();
-        let mut out = Tensor::zeros(Shape::vector(1));
-        exec.run(&[input], &mut out).unwrap();
-        out
+        run_first_node(graph, backend, input, hint).unwrap()
     }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<f32> {
@@ -900,16 +862,25 @@ mod tests {
                     if scheme == ConvScheme::QuantizedGemm {
                         // Exact i32 accumulation: the same bits on every
                         // kernel set and thread count.
-                        let scalar = quant::conv2d_quantized(
-                            &params,
-                            1,
-                            1,
-                            in_h,
-                            in_w,
-                            input.data_f32(),
-                            &weight_q,
-                            &scales,
-                            &bias,
+                        let scalar = Scratch::collect(
+                            reference.len(),
+                            quant::conv2d_quantized_scratch(&params, 1, 1, in_h, in_w),
+                            |out, scratch| {
+                                quant::conv2d_quantized_with(
+                                    KernelBackend::Scalar,
+                                    &params,
+                                    1,
+                                    1,
+                                    in_h,
+                                    in_w,
+                                    input.data_f32(),
+                                    &weight_q,
+                                    &scales,
+                                    &bias,
+                                    out,
+                                    scratch,
+                                )
+                            },
                         );
                         assert_eq!(got.data_f32(), scalar, "case {case} {scheme}");
                         continue;
@@ -983,13 +954,13 @@ mod tests {
     }
 
     #[test]
-    fn copy_buffer_checks_shapes() {
-        let backend = CpuBackend::new(1);
-        let src = Tensor::full(Shape::vector(4), 2.0);
-        let mut dst = Tensor::zeros(Shape::vector(4));
-        backend.on_copy_buffer(&src, &mut dst).unwrap();
-        assert_eq!(dst.data_f32(), src.data_f32());
-        let mut wrong = Tensor::zeros(Shape::vector(5));
-        assert!(backend.on_copy_buffer(&src, &mut wrong).is_err());
+    fn convolution_rejects_an_input_that_is_not_4d() {
+        let mut b = GraphBuilder::new("conv");
+        let x = b.input("x", Shape::nchw(1, 3, 8, 8));
+        let y = b.conv2d_auto("conv", x, Conv2dAttrs::same_3x3(3, 4), true);
+        let g = b.build(vec![y]);
+        let bad = Tensor::zeros(Shape::matrix(4, 4));
+        let err = run_first_node(&g, &CpuBackend::new(1), &bad, &SchemeHint::default());
+        assert!(matches!(err, Err(BackendError::InvalidTensor(_))));
     }
 }

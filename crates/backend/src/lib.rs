@@ -5,20 +5,22 @@
 //! resource management, memory allocation and scheduling are decoupled from operator
 //! implementations. This crate provides the Rust equivalent:
 //!
-//! * [`Backend`] — the trait mirroring Fig. 5 (`on_create`, `on_copy_buffer`,
-//!   execution begin/end hooks). Fig. 5's buffer hooks have no counterpart:
-//!   activation memory is planned per session, not acquired per backend.
+//! * [`Backend`] — the trait mirroring Fig. 5's `onCreate`, which makes an
+//!   [`Execution`] per node. Fig. 5's buffer, copy and begin/end hooks have no
+//!   counterpart: activation memory is planned per session, not acquired per
+//!   backend, and an execution is lent its inputs, output region and scratch
+//!   for the length of one `run`.
 //! * [`CpuBackend`] — the real CPU backend executing `mnn-kernels` with a
 //!   configurable thread count.
 //! * [`SimGpuBackend`] — simulated Metal / OpenCL / OpenGL / Vulkan backends: they
 //!   run the same kernels on the CPU for bit-exact outputs, while a virtual clock
 //!   charges the analytic GPU cost (`MUL / FLOPS + t_schedule`, paper Eq. 5 and
 //!   Appendix C). This substitutes for physical mobile GPUs; see `DESIGN.md`.
-//! * [`memory`] — the static memory planner and arena behind the paper's
+//! * [`memory`] — the static memory planner behind the paper's
 //!   preparation–execution decoupling (Fig. 3).
 //! * [`capability`] — per-backend operator support and the Table 4 statistics.
-//! * [`timing`] — wall-clock micro-benchmarking of prepared executions, the
-//!   measurement primitive used by the `mnn-tune` auto-tuner.
+//! * [`timing`] — wall-clock micro-benchmarking, the measurement primitive
+//!   used by the `mnn-tune` auto-tuner.
 
 #![deny(missing_docs)]
 
@@ -33,4 +35,6 @@ mod traits;
 pub use cpu::CpuBackend;
 pub use error::BackendError;
 pub use sim_gpu::{GpuProfile, SimGpuBackend};
-pub use traits::{Backend, BackendDescriptor, ConvScheme, Execution, ForwardType, SchemeHint};
+pub use traits::{
+    Backend, BackendDescriptor, ConvScheme, Execution, ForwardType, Inputs, SchemeHint,
+};

@@ -6,19 +6,20 @@
 //! then only computes, touching a pre-allocated arena.
 //!
 //! [`MemoryPlanner`] is that walk: `plan_acquire` / `plan_release` calls produce
-//! offset/size assignments with aggressive reuse. [`MemoryArena`] backs a whole
-//! plan with a single allocation.
+//! offset/size assignments with aggressive reuse. The session that owns the
+//! plan backs it with a single allocation and hands each operator its region.
 
-/// Identifier of a planned buffer within a [`MemoryPlanner`] / [`MemoryArena`].
+/// Identifier of a planned buffer within a [`MemoryPlanner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanId(pub usize);
 
-/// A planned buffer assignment: byte-less (element) offset and length.
+/// A planned buffer assignment: offset and length, in whatever unit the caller
+/// acquires in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedBuffer {
-    /// Offset (in `f32` elements) inside the arena.
+    /// Offset inside the arena.
     pub offset: usize,
-    /// Length in elements.
+    /// Length.
     pub len: usize,
 }
 
@@ -79,11 +80,6 @@ impl MemoryPlanner {
         self.buffers[id.0]
     }
 
-    /// All planned buffers, in allocation order.
-    pub fn buffers(&self) -> &[PlannedBuffer] {
-        &self.buffers
-    }
-
     fn find_region(&mut self, len: usize) -> usize {
         // first-fit over the free list
         if let Some(pos) = self
@@ -124,66 +120,6 @@ impl MemoryPlanner {
             }
         }
         self.free_regions = merged;
-    }
-}
-
-/// The arena backing a finished [`MemoryPlanner`]: one contiguous allocation reused
-/// across every inference of a session.
-#[derive(Debug)]
-pub struct MemoryArena {
-    data: Vec<f32>,
-    buffers: Vec<PlannedBuffer>,
-}
-
-impl MemoryArena {
-    /// Materialize the plan into a single allocation.
-    pub fn from_planner(planner: &MemoryPlanner) -> Self {
-        // The arena must cover every planned buffer even if trailing space was trimmed
-        // after releases.
-        let needed = planner
-            .buffers()
-            .iter()
-            .map(|b| b.offset + b.len)
-            .max()
-            .unwrap_or(0)
-            .max(planner.total_elements());
-        MemoryArena {
-            data: vec![0.0; needed],
-            buffers: planner.buffers().to_vec(),
-        }
-    }
-
-    /// Total arena size in elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Copy data into a planned buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len()` differs from the planned length.
-    pub fn write(&mut self, id: PlanId, src: &[f32]) {
-        let buf = self.buffers[id.0];
-        assert_eq!(src.len(), buf.len, "write length mismatch");
-        self.data[buf.offset..buf.offset + buf.len].copy_from_slice(src);
-    }
-
-    /// Read a planned buffer.
-    pub fn read(&self, id: PlanId) -> &[f32] {
-        let buf = self.buffers[id.0];
-        &self.data[buf.offset..buf.offset + buf.len]
-    }
-
-    /// Mutable access to a planned buffer.
-    pub fn read_mut(&mut self, id: PlanId) -> &mut [f32] {
-        let buf = self.buffers[id.0];
-        &mut self.data[buf.offset..buf.offset + buf.len]
     }
 }
 
@@ -231,18 +167,6 @@ mod tests {
         assert_eq!(planner.total_elements(), 30);
     }
 
-    #[test]
-    fn arena_reads_back_what_was_written() {
-        let mut planner = MemoryPlanner::new();
-        let a = planner.plan_acquire(4);
-        let b = planner.plan_acquire(2);
-        let mut arena = MemoryArena::from_planner(&planner);
-        arena.write(a, &[1.0, 2.0, 3.0, 4.0]);
-        arena.write(b, &[9.0, 8.0]);
-        assert_eq!(arena.read(a), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(arena.read(b), &[9.0, 8.0]);
-    }
-
     /// Live buffers must never overlap, whatever the acquire/release pattern.
     #[derive(Debug, Clone)]
     enum PlanOp {
@@ -283,32 +207,6 @@ mod tests {
                         prop_assert!(disjoint, "buffers {:?} and {:?} overlap", a, b);
                     }
                 }
-            }
-        }
-
-        #[test]
-        fn prop_arena_covers_every_buffer(ops in plan_ops()) {
-            let mut planner = MemoryPlanner::new();
-            let mut live: Vec<PlanId> = Vec::new();
-            let mut all: Vec<PlanId> = Vec::new();
-            for op in ops {
-                match op {
-                    PlanOp::Acquire(len) => {
-                        let id = planner.plan_acquire(len);
-                        live.push(id);
-                        all.push(id);
-                    }
-                    PlanOp::ReleaseOldestLive => {
-                        if !live.is_empty() {
-                            planner.plan_release(live.remove(0));
-                        }
-                    }
-                }
-            }
-            let arena = MemoryArena::from_planner(&planner);
-            for id in all {
-                let b = planner.buffer(id);
-                prop_assert!(b.offset + b.len <= arena.len());
             }
         }
 

@@ -16,10 +16,11 @@
 //! inference, which is what produces the large GPU-side gains of Table 2.
 
 use crate::cpu::CpuBackend;
-use crate::traits::{Backend, BackendDescriptor, Execution, ForwardType, SchemeHint};
+use crate::traits::{Backend, BackendDescriptor, Execution, ForwardType, Inputs, SchemeHint};
 use crate::BackendError;
 use mnn_graph::{Graph, Node, Op};
-use mnn_tensor::Tensor;
+use mnn_kernels::{Scratch, ScratchLen};
+use mnn_tensor::Shape;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -211,8 +212,17 @@ struct SimGpuExec {
 }
 
 impl Execution for SimGpuExec {
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError> {
-        self.inner.run(inputs, output)?;
+    fn scratch(&self, inputs: &[&Shape]) -> ScratchLen {
+        self.inner.scratch(inputs)
+    }
+
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), BackendError> {
+        self.inner.run(inputs, output, scratch)?;
         let mut clock = self.clock.lock();
         *clock += self.compute_ms;
         if self.charge_schedule_per_run {
@@ -229,8 +239,21 @@ impl Execution for SimGpuExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::tests::run_first_node;
     use mnn_graph::{Conv2dAttrs, GraphBuilder};
-    use mnn_tensor::Shape;
+    use mnn_tensor::{Shape, Tensor};
+
+    /// `runs` inferences of `conv_graph`'s convolution through one execution.
+    fn run_conv(execution: &mut dyn Execution, runs: usize) {
+        let input = Tensor::zeros(Shape::nchw(1, 3, 16, 16));
+        let mut scratch = Scratch::new(execution.scratch(&[input.shape()]));
+        let mut output = vec![f32::NAN; 8 * 16 * 16];
+        for _ in 0..runs {
+            execution
+                .run(&[input.view()], &mut output, &mut scratch)
+                .unwrap();
+        }
+    }
 
     fn conv_graph() -> Graph {
         let mut b = GraphBuilder::new("g");
@@ -258,23 +281,14 @@ mod tests {
     #[test]
     fn gpu_results_match_cpu_results() {
         let g = conv_graph();
-        let node = &g.nodes()[0];
         let cpu = CpuBackend::new(1);
         let gpu = SimGpuBackend::new(ForwardType::Vulkan, GpuProfile::by_name("Adreno 540"));
         let input = Tensor::from_vec(
             Shape::nchw(1, 3, 16, 16),
             (0..768).map(|v| (v % 13) as f32 * 0.1).collect(),
         );
-        let mut cpu_out = Tensor::zeros(Shape::vector(1));
-        let mut gpu_out = Tensor::zeros(Shape::vector(1));
-        cpu.on_create(node, &g, &SchemeHint::default())
-            .unwrap()
-            .run(&[&input], &mut cpu_out)
-            .unwrap();
-        gpu.on_create(node, &g, &SchemeHint::default())
-            .unwrap()
-            .run(&[&input], &mut gpu_out)
-            .unwrap();
+        let cpu_out = run_first_node(&g, &cpu, &input, &SchemeHint::default()).unwrap();
+        let gpu_out = run_first_node(&g, &gpu, &input, &SchemeHint::default()).unwrap();
         assert!(cpu_out.max_abs_diff(&gpu_out) < 1e-5);
     }
 
@@ -286,10 +300,7 @@ mod tests {
         let mut gpu = SimGpuBackend::new(ForwardType::OpenCl, GpuProfile::GENERIC);
         gpu.set_decoupled(false);
         let mut exec = gpu.on_create(node, &g, &SchemeHint::default()).unwrap();
-        let input = Tensor::zeros(Shape::nchw(1, 3, 16, 16));
-        let mut out = Tensor::zeros(Shape::vector(1));
-        exec.run(&[&input], &mut out).unwrap();
-        exec.run(&[&input], &mut out).unwrap();
+        run_conv(exec.as_mut(), 2);
         let expected = 2.0 * (muls as f64 / GpuProfile::GENERIC.flops * 1000.0 + 0.05);
         assert!((gpu.virtual_elapsed_ms() - expected).abs() < 1e-9);
         gpu.reset_virtual_clock();
@@ -307,11 +318,7 @@ mod tests {
             gpu.set_decoupled(decoupled);
             let mut exec = gpu.on_create(node, &g, &SchemeHint::default()).unwrap();
             gpu.reset_virtual_clock(); // exclude preparation from the measured loop
-            let input = Tensor::zeros(Shape::nchw(1, 3, 16, 16));
-            let mut out = Tensor::zeros(Shape::vector(1));
-            for _ in 0..runs {
-                exec.run(&[&input], &mut out).unwrap();
-            }
+            run_conv(exec.as_mut(), runs);
             gpu.virtual_elapsed_ms()
         };
         let with = measure(true);

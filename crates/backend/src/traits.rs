@@ -2,7 +2,8 @@
 
 use crate::BackendError;
 use mnn_graph::{Graph, Node};
-use mnn_tensor::Tensor;
+use mnn_kernels::{Scratch, ScratchLen};
+use mnn_tensor::{Shape, TensorView};
 use std::fmt;
 
 /// The hardware/software solution a backend targets.
@@ -179,19 +180,59 @@ pub struct SchemeHint {
     pub threads: Option<usize>,
 }
 
+/// The activation inputs of one [`Execution::run`], in graph order, resolved
+/// on demand: a session answers from its planned arena and staged inputs
+/// without building a list per step; everyone else passes an array of views.
+pub trait Inputs {
+    /// How many activation inputs there are.
+    fn count(&self) -> usize;
+
+    /// The `index`-th input (`index < self.count()`).
+    fn get(&self, index: usize) -> TensorView<'_>;
+}
+
+impl<const N: usize> Inputs for [TensorView<'_>; N] {
+    fn count(&self) -> usize {
+        N
+    }
+
+    fn get(&self, index: usize) -> TensorView<'_> {
+        self[index]
+    }
+}
+
 /// A ready-to-run operator instance (MNN's `Execution`).
 ///
 /// Constant inputs (weights, biases, statistics) are captured at creation time so
 /// they can be pre-processed once (e.g. Winograd-transformed); `run` receives only
-/// the activation inputs, in graph order.
+/// the activation inputs, in graph order. An execution owns no activation
+/// memory: where its output lives and how large it is were decided by shape
+/// inference and the session's memory plan.
 pub trait Execution: Send {
-    /// Execute the operator.
+    /// The scratch [`Execution::run`] borrows for activation inputs of these
+    /// shapes — asked once per input geometry, at preparation time.
+    fn scratch(&self, _inputs: &[&Shape]) -> ScratchLen {
+        ScratchLen::default()
+    }
+
+    /// Execute the operator: read `inputs` and overwrite every element of
+    /// `output` — as long as shape inference made this node's output, holding
+    /// anything — with `scratch` (at least [`Execution::scratch`]) for temporaries.
     ///
     /// # Errors
     ///
-    /// Returns a [`BackendError`] if the tensors are inconsistent with the graph
+    /// Returns a [`BackendError`] if the inputs are inconsistent with the graph
     /// metadata captured at creation time.
-    fn run(&mut self, inputs: &[&Tensor], output: &mut Tensor) -> Result<(), BackendError>;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` or `scratch` is not the size the inputs call for.
+    fn run(
+        &mut self,
+        inputs: &dyn Inputs,
+        output: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), BackendError>;
 
     /// Human-readable description (op + chosen scheme) for logs and debugging.
     fn describe(&self) -> String {
@@ -203,7 +244,8 @@ pub trait Execution: Send {
 ///
 /// A backend knows its performance envelope ([`BackendDescriptor`]) and creates
 /// [`Execution`] instances for graph nodes. Activation memory is not its
-/// business: the session plans it (see [`crate::memory`]).
+/// business: the session plans it (see [`crate::memory`]) and lends each
+/// execution its inputs, output region and scratch per run.
 pub trait Backend: Send {
     /// The forward type this backend implements.
     fn forward_type(&self) -> ForwardType;
@@ -238,29 +280,6 @@ pub trait Backend: Send {
     /// must return `false` (the default) so resizes re-encode them.
     fn executions_are_geometry_invariant(&self) -> bool {
         false
-    }
-
-    /// Hook called before a sequence of executions (MNN's `onExecuteBegin`).
-    fn on_execute_begin(&mut self) {}
-
-    /// Hook called after a sequence of executions (MNN's `onExecuteEnd`).
-    fn on_execute_end(&mut self) {}
-
-    /// Copy tensor contents between backends / layouts (MNN's `onCopyBuffer`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::ShapeMismatch`] when the logical shapes differ.
-    fn on_copy_buffer(&self, src: &Tensor, dst: &mut Tensor) -> Result<(), BackendError> {
-        if src.shape() != dst.shape() {
-            return Err(BackendError::ShapeMismatch(format!(
-                "copy between {} and {}",
-                src.shape(),
-                dst.shape()
-            )));
-        }
-        *dst = src.clone();
-        Ok(())
     }
 
     /// Accumulated virtual time, in milliseconds, for simulated backends.

@@ -6,10 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mnn_backend::ConvScheme;
-use mnn_bench::deterministic_buffer;
+use mnn_bench::SchemeBench;
 use mnn_core::scheme::{select_conv_scheme, MAX_WINOGRAD_TILE};
-use mnn_kernels::conv::{conv2d_sliding_window, ConvParams};
-use mnn_kernels::winograd::conv2d_winograd;
+use mnn_kernels::conv::ConvParams;
 use std::time::Duration;
 
 /// Reduced versions of the Table 1 settings: (k, ic, oc, spatial size).
@@ -27,54 +26,29 @@ fn bench_conv_schemes(c: &mut Criterion) {
     for setting in SETTINGS {
         let (k, ic, oc, size) = setting;
         let params = ConvParams::square(ic, oc, k, 0);
-        let input = deterministic_buffer(ic * size * size, 1);
-        let weight = deterministic_buffer(params.weight_len(), 2);
+        let decision = select_conv_scheme(&params, size, size, MAX_WINOGRAD_TILE);
+        let mut conv = SchemeBench::new(params, size, threads, MAX_WINOGRAD_TILE);
         let label = format!("k{k}_ic{ic}_oc{oc}_s{size}");
 
-        group.bench_with_input(BenchmarkId::new("sliding", &label), &setting, |b, _| {
-            b.iter(|| conv2d_sliding_window(&params, threads, 1, size, size, &input, &weight, &[]))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("winograd_min", &label),
-            &setting,
-            |b, _| {
-                b.iter(|| conv2d_winograd(&params, 2, threads, 1, size, size, &input, &weight, &[]))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("winograd_max", &label),
-            &setting,
-            |b, _| {
-                b.iter(|| {
-                    conv2d_winograd(
-                        &params,
-                        MAX_WINOGRAD_TILE,
-                        threads,
-                        1,
-                        size,
-                        size,
-                        &input,
-                        &weight,
-                        &[],
-                    )
-                })
-            },
-        );
-        let decision = select_conv_scheme(&params, size, size, MAX_WINOGRAD_TILE);
-        group.bench_with_input(
-            BenchmarkId::new("ours_selected", &label),
-            &setting,
-            |b, _| {
-                b.iter(|| match decision.selected {
-                    ConvScheme::Winograd { tile } => {
-                        conv2d_winograd(&params, tile, threads, 1, size, size, &input, &weight, &[])
-                    }
-                    _ => {
-                        conv2d_sliding_window(&params, threads, 1, size, size, &input, &weight, &[])
-                    }
-                })
-            },
-        );
+        let ours = match decision.selected {
+            winograd @ ConvScheme::Winograd { .. } => winograd,
+            _ => ConvScheme::SlidingWindow,
+        };
+        for (name, scheme) in [
+            ("sliding", ConvScheme::SlidingWindow),
+            ("winograd_min", ConvScheme::Winograd { tile: 2 }),
+            (
+                "winograd_max",
+                ConvScheme::Winograd {
+                    tile: MAX_WINOGRAD_TILE,
+                },
+            ),
+            ("ours_selected", ours),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, &label), &setting, |b, _| {
+                b.iter(|| conv.run(scheme))
+            });
+        }
     }
     group.finish();
 }

@@ -3,7 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mnn_bench::deterministic_buffer;
 use mnn_kernels::gemm::gemm;
-use mnn_kernels::strassen::strassen;
+use mnn_kernels::simd::KernelBackend;
+use mnn_kernels::strassen::{strassen_scratch, strassen_with};
 use std::time::Duration;
 
 /// (a, b, c) for [a, b] x [b, c]. The 1024 case of the paper's Table 3 is covered
@@ -20,12 +21,14 @@ fn bench_strassen(c: &mut Criterion) {
         let lhs = deterministic_buffer(a * b, 1);
         let rhs = deterministic_buffer(b * n, 2);
         let mut out = vec![0.0f32; a * n];
+        let mut scratch = vec![0.0f32; strassen_scratch(a, b, n).f32];
         let label = format!("{a}x{b}x{n}");
         group.bench_with_input(BenchmarkId::new("direct", &label), &label, |bench, _| {
             bench.iter(|| gemm(a, b, n, &lhs, &rhs, &mut out))
         });
         group.bench_with_input(BenchmarkId::new("strassen", &label), &label, |bench, _| {
-            bench.iter(|| strassen(a, b, n, &lhs, &rhs, &mut out))
+            let kb = KernelBackend::Scalar;
+            bench.iter(|| strassen_with(kb, 1, a, b, n, &lhs, &rhs, &mut out, &mut scratch))
         });
     }
     group.finish();

@@ -4,9 +4,10 @@
 //! cost model chooses between, plus the transform-generation cost itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mnn_bench::deterministic_buffer;
+use mnn_backend::ConvScheme;
+use mnn_bench::SchemeBench;
 use mnn_kernels::conv::ConvParams;
-use mnn_kernels::winograd::{conv2d_winograd, generate};
+use mnn_kernels::winograd::generate;
 use std::time::Duration;
 
 fn bench_tile_sizes(c: &mut Criterion) {
@@ -16,17 +17,12 @@ fn bench_tile_sizes(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
 
-    let params = ConvParams::square(32, 32, 3, 1);
-    let size = 56;
-    let input = deterministic_buffer(32 * size * size, 1);
-    let weight = deterministic_buffer(params.weight_len(), 2);
+    let mut conv = SchemeBench::new(ConvParams::square(32, 32, 3, 1), 56, 4, 6);
     for tile in [2usize, 3, 4, 6] {
         group.bench_with_input(
             BenchmarkId::new("conv3x3_ic32_oc32_s56", tile),
             &tile,
-            |b, &tile| {
-                b.iter(|| conv2d_winograd(&params, tile, 4, 1, size, size, &input, &weight, &[]))
-            },
+            |b, &tile| b.iter(|| conv.run(ConvScheme::Winograd { tile })),
         );
     }
     group.finish();

@@ -9,32 +9,9 @@
 
 use mnn_backend::ConvScheme;
 use mnn_bench::{
-    deterministic_buffer, ms, print_row, print_table_header, table1_conv, time_avg_ms,
-    TABLE1_SETTINGS,
+    ms, print_row, print_table_header, table1_conv, time_avg_ms, SchemeBench, TABLE1_SETTINGS,
 };
 use mnn_core::scheme::{select_conv_scheme, MAX_WINOGRAD_TILE};
-use mnn_kernels::conv::{conv2d_sliding_window, ConvParams};
-use mnn_kernels::winograd::conv2d_winograd;
-
-fn run_scheme(
-    params: &ConvParams,
-    scheme: ConvScheme,
-    size: usize,
-    input: &[f32],
-    weight: &[f32],
-    threads: usize,
-    runs: usize,
-) -> f64 {
-    time_avg_ms(runs, || match scheme {
-        ConvScheme::SlidingWindow => {
-            conv2d_sliding_window(params, threads, 1, size, size, input, weight, &[])
-        }
-        ConvScheme::Winograd { tile } => {
-            conv2d_winograd(params, tile, threads, 1, size, size, input, weight, &[])
-        }
-        other => panic!("unexpected scheme {other}"),
-    })
-}
 
 fn main() {
     let threads = 4;
@@ -54,50 +31,17 @@ fn main() {
     for setting in TABLE1_SETTINGS {
         let (k, ic, oc, size) = setting;
         let params = table1_conv(setting);
-        let input = deterministic_buffer(ic * size * size, 1);
-        let weight = deterministic_buffer(params.weight_len(), 2);
-
-        let sliding = run_scheme(
-            &params,
-            ConvScheme::SlidingWindow,
-            size,
-            &input,
-            &weight,
-            threads,
-            runs,
-        );
-        let wino_min = run_scheme(
-            &params,
-            ConvScheme::Winograd { tile: 2 },
-            size,
-            &input,
-            &weight,
-            threads,
-            runs,
-        );
-        let wino_max = run_scheme(
-            &params,
-            ConvScheme::Winograd {
-                tile: MAX_WINOGRAD_TILE,
-            },
-            size,
-            &input,
-            &weight,
-            threads,
-            runs,
-        );
-
         let decision = select_conv_scheme(&params, size, size, MAX_WINOGRAD_TILE);
+        let mut conv = SchemeBench::new(params, size, threads, MAX_WINOGRAD_TILE);
+        let mut time = |scheme| time_avg_ms(runs, || conv.run(scheme));
+
+        let sliding = time(ConvScheme::SlidingWindow);
+        let wino_min = time(ConvScheme::Winograd { tile: 2 });
+        let wino_max = time(ConvScheme::Winograd {
+            tile: MAX_WINOGRAD_TILE,
+        });
         let ours = match decision.selected {
-            ConvScheme::SlidingWindow | ConvScheme::Winograd { .. } => run_scheme(
-                &params,
-                decision.selected,
-                size,
-                &input,
-                &weight,
-                threads,
-                runs,
-            ),
+            ConvScheme::SlidingWindow | ConvScheme::Winograd { .. } => time(decision.selected),
             // 1x1 settings never appear in Table 1, but handle them gracefully.
             _ => sliding,
         };

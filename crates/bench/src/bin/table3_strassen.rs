@@ -6,7 +6,8 @@ use mnn_bench::{
     deterministic_buffer, ms, print_row, print_table_header, time_avg_ms, TABLE3_SIZES,
 };
 use mnn_kernels::gemm::gemm;
-use mnn_kernels::strassen::{planned_depth, strassen};
+use mnn_kernels::simd::KernelBackend;
+use mnn_kernels::strassen::{planned_depth, strassen_scratch, strassen_with};
 
 fn main() {
     print_table_header(
@@ -23,9 +24,13 @@ fn main() {
         let lhs = deterministic_buffer(a * b, 1);
         let rhs = deterministic_buffer(b * c, 2);
         let mut out = vec![0.0f32; a * c];
+        let mut scratch = vec![0.0f32; strassen_scratch(a, b, c).f32];
         let runs = if a >= 1024 { 2 } else { 3 };
         let direct = time_avg_ms(runs, || gemm(a, b, c, &lhs, &rhs, &mut out));
-        let with_strassen = time_avg_ms(runs, || strassen(a, b, c, &lhs, &rhs, &mut out));
+        let with_strassen = time_avg_ms(runs, || {
+            let kb = KernelBackend::Scalar;
+            strassen_with(kb, 1, a, b, c, &lhs, &rhs, &mut out, &mut scratch)
+        });
         let improvement = (1.0 - with_strassen / direct) * 100.0;
         print_row(&[
             format!("({a}, {b}, {c})"),

@@ -7,7 +7,13 @@
 
 #![deny(missing_docs)]
 
-use mnn_kernels::conv::ConvParams;
+use mnn_backend::ConvScheme;
+use mnn_kernels::conv::{conv2d_sliding_window, ConvParams};
+use mnn_kernels::simd::KernelBackend;
+use mnn_kernels::winograd::{
+    conv2d_winograd_prepared_with, prepare_winograd_weights, winograd_scratch,
+};
+use mnn_kernels::{Scratch, ScratchLen};
 use mnn_tensor::Shape;
 use std::time::Instant;
 
@@ -29,6 +35,71 @@ pub const TABLE3_SIZES: [(usize, usize, usize); 4] = [
 pub fn table1_conv(setting: (usize, usize, usize, usize)) -> ConvParams {
     let (k, ic, oc, _) = setting;
     ConvParams::square(ic, oc, k, 0)
+}
+
+/// One convolution of the Table 1 kind — `params` on a `size`×`size` input with
+/// deterministic data — ready to be timed under either scheme the table
+/// compares. Output and scratch are allocated here, once, so a timed
+/// [`SchemeBench::run`] is the kernel alone.
+pub struct SchemeBench {
+    params: ConvParams,
+    size: usize,
+    threads: usize,
+    input: Vec<f32>,
+    weight: Vec<f32>,
+    output: Vec<f32>,
+    scratch: Scratch,
+}
+
+impl SchemeBench {
+    /// Buffers for `params` at `size`, with scratch for every Winograd tile up
+    /// to `max_tile`.
+    pub fn new(params: ConvParams, size: usize, threads: usize, max_tile: usize) -> Self {
+        let (out_h, out_w) = params.output_size(size, size);
+        let need = (2..=max_tile)
+            .map(|tile| winograd_scratch(&params, tile, threads, size, size))
+            .fold(ScratchLen::default(), ScratchLen::max);
+        SchemeBench {
+            size,
+            threads,
+            input: deterministic_buffer(params.in_channels * size * size, 1),
+            weight: deterministic_buffer(params.weight_len(), 2),
+            output: vec![0.0; params.out_channels * out_h * out_w],
+            scratch: Scratch::new(need),
+            params,
+        }
+    }
+
+    /// Run the convolution once: the sliding-window kernel, or Winograd with
+    /// `tile` on the scalar kernels (weights transformed per call, as the
+    /// paper's Table 1 measures it).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other scheme, or a tile above `max_tile`.
+    pub fn run(&mut self, scheme: ConvScheme) {
+        let (params, size, threads) = (&self.params, self.size, self.threads);
+        let (x, w, out) = (&self.input, &self.weight, &mut self.output);
+        match scheme {
+            ConvScheme::SlidingWindow => {
+                conv2d_sliding_window(params, threads, 1, size, size, x, w, &[], out)
+            }
+            ConvScheme::Winograd { tile } => conv2d_winograd_prepared_with(
+                KernelBackend::Scalar,
+                params,
+                &prepare_winograd_weights(params, tile, w),
+                threads,
+                1,
+                size,
+                size,
+                x,
+                &[],
+                out,
+                &mut self.scratch,
+            ),
+            other => panic!("unexpected scheme {other}"),
+        }
+    }
 }
 
 /// Deterministic pseudo-random buffer (xorshift-based), used to build benchmark

@@ -388,8 +388,10 @@ mod tests {
                 Op::Pool(attrs) => {
                     let params = attrs.to_pool_params();
                     let channels = current.len() / (h * w);
-                    current = mnn_kernels::pool::pool2d(&params, 1, channels, h, w, &current);
                     let (oh, ow) = params.output_size(h, w);
+                    let mut pooled = vec![0.0; channels * oh * ow];
+                    mnn_kernels::pool::pool2d(&params, 1, channels, h, w, &current, &mut pooled);
+                    current = pooled;
                     h = oh;
                     w = ow;
                 }

@@ -4,12 +4,19 @@
 //! shape inference, so the engine can simulate the whole inference — recording each
 //! allocation and release — once at session-creation time. The resulting plan
 //! assigns every intermediate tensor an offset in a single reusable arena; buffers
-//! whose live ranges do not overlap share memory.
+//! whose live ranges do not overlap share memory. The session allocates that
+//! arena once and every step writes its output at its assigned offset, so the
+//! plan is the only description of where an activation lives.
 
 use crate::CoreError;
 use mnn_backend::memory::{MemoryPlanner, PlanId};
 use mnn_graph::{Graph, NodeId, TensorId};
 use std::collections::HashMap;
+
+/// Every planned region starts on a multiple of this many bytes and is padded
+/// to one (a cache line), and the session starts its arena on such a boundary:
+/// an activation's alignment is the same in every run of every process.
+pub const REGION_ALIGN: usize = 64;
 
 /// The one tensor-lifetime analysis of pre-inference: for each position in
 /// `order`, the intermediate tensors whose last consumer is the node at that
@@ -18,7 +25,7 @@ use std::collections::HashMap;
 /// Constants and graph inputs never appear (they are not the engine's to
 /// free), nor do graph outputs (they outlive the run). [`MemoryPlan`] turns
 /// these release points into arena reuse; the session's step list turns them
-/// into the slots it drops after each step.
+/// into the regions a debug build poisons after each step.
 ///
 /// # Errors
 ///
@@ -54,10 +61,21 @@ pub(crate) fn release_points(
     Ok(releases)
 }
 
+/// A planned tensor's place in the arena, in bytes. `len` is the tensor's own
+/// size; the padding up to [`REGION_ALIGN`] behind it belongs to nobody.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// Offset from the start of the arena.
+    pub offset: usize,
+    /// Length of the tensor.
+    pub len: usize,
+}
+
 /// One planned tensor: its arena region and the steps over which it holds it.
 #[derive(Debug, Clone, Copy)]
 struct Assignment {
     plan: PlanId,
+    region: Region,
     acquired_at: usize,
     released_after: Option<usize>,
 }
@@ -70,14 +88,13 @@ struct Assignment {
 /// report `f32`-equivalent counts for continuity with the paper's tables.
 #[derive(Debug)]
 pub struct MemoryPlan {
-    /// Assignment of each planned (non-constant, non-input) tensor to an arena slot.
+    /// Assignment of each planned (non-constant, non-input) tensor to an arena region.
     assignments: HashMap<TensorId, Assignment>,
     /// Arena size in bytes with live-range reuse.
     planned_bytes: usize,
     /// Total bytes that would be needed without any reuse (sum of all
     /// intermediate tensor sizes).
     unplanned_bytes: usize,
-    planner: MemoryPlanner,
 }
 
 impl MemoryPlan {
@@ -106,6 +123,7 @@ impl MemoryPlan {
     ) -> Result<Self, CoreError> {
         let mut planner = MemoryPlanner::new();
         let mut assignments = HashMap::new();
+        let mut planned_bytes = 0usize;
         let mut unplanned = 0usize;
 
         let tensor_bytes = |id: TensorId| -> Result<usize, CoreError> {
@@ -121,8 +139,15 @@ impl MemoryPlan {
             for output in &graph.node(*node_id)?.outputs {
                 let bytes = tensor_bytes(*output)?;
                 unplanned += bytes;
+                let plan = planner.plan_acquire(bytes.next_multiple_of(REGION_ALIGN));
+                let buffer = planner.buffer(plan);
+                planned_bytes = planned_bytes.max(buffer.offset + buffer.len);
                 let assignment = Assignment {
-                    plan: planner.plan_acquire(bytes),
+                    plan,
+                    region: Region {
+                        offset: buffer.offset,
+                        len: bytes,
+                    },
                     acquired_at: position,
                     released_after: None,
                 };
@@ -139,23 +164,17 @@ impl MemoryPlan {
 
         Ok(MemoryPlan {
             assignments,
-            planned_bytes: planner
-                .buffers()
-                .iter()
-                .map(|b| b.offset + b.len)
-                .max()
-                .unwrap_or(0),
+            planned_bytes,
             unplanned_bytes: unplanned,
-            planner,
         })
     }
 
     /// Arena size in bytes required with reuse (dtype-accurate: int8 slots count
-    /// one byte per element).
+    /// one byte per element), a multiple of [`REGION_ALIGN`].
     ///
-    /// This is also the figure a session charges to the `mnn_obs::resources`
-    /// ledger for its active plan (and per parked plan in the plan cache), so
-    /// `/v1/status` per-model "arena" bytes are sums of this value.
+    /// A session's arena holds at least this much; what it charges to the
+    /// `mnn_obs::resources` ledger is what it actually allocated
+    /// ([`Session::activation_bytes`](crate::Session::activation_bytes)).
     pub fn planned_bytes(&self) -> usize {
         self.planned_bytes
     }
@@ -185,9 +204,9 @@ impl MemoryPlan {
         1.0 - self.planned_bytes as f64 / self.unplanned_bytes as f64
     }
 
-    /// The arena slot assigned to a tensor, if it was planned.
-    pub fn assignment(&self, id: TensorId) -> Option<PlanId> {
-        self.assignments.get(&id).map(|a| a.plan)
+    /// The arena region assigned to a tensor, if it was planned.
+    pub fn region(&self, id: TensorId) -> Option<Region> {
+        self.assignments.get(&id).map(|a| a.region)
     }
 
     /// The steps (positions in the execution order) over which a planned tensor
@@ -198,11 +217,6 @@ impl MemoryPlan {
         self.assignments
             .get(&id)
             .map(|a| (a.acquired_at, a.released_after))
-    }
-
-    /// The underlying planner (offsets/lengths), for building an arena.
-    pub fn planner(&self) -> &MemoryPlanner {
-        &self.planner
     }
 }
 
@@ -254,7 +268,7 @@ mod tests {
         let g = chain(3);
         let plan = MemoryPlan::build(&g).unwrap();
         let out = g.outputs()[0];
-        assert!(plan.assignment(out).is_some());
+        assert!(plan.region(out).is_some());
     }
 
     #[test]
@@ -268,9 +282,33 @@ mod tests {
         g.infer_shapes().unwrap();
         let plan = MemoryPlan::build(&g).unwrap();
         for node in g.nodes() {
-            assert!(plan.assignment(node.outputs[0]).is_some());
+            let region = plan.region(node.outputs[0]).unwrap();
+            assert_eq!(region.offset % REGION_ALIGN, 0);
+            assert!(region.offset + region.len <= plan.planned_bytes());
         }
+        assert_eq!(plan.planned_bytes() % REGION_ALIGN, 0);
         assert!(plan.planned_elements() < plan.unplanned_elements());
+    }
+
+    #[test]
+    fn regions_start_and_end_on_cache_lines() {
+        // 1x3x5x5 f32 is 300 bytes: not a multiple of 64.
+        let mut b = GraphBuilder::new("odd");
+        let mut x = b.input("x", Shape::nchw(1, 3, 5, 5));
+        for i in 0..3 {
+            x = b.activation(&format!("relu{i}"), x, ActivationKind::Relu);
+        }
+        let mut g = b.build(vec![x]);
+        g.infer_shapes().unwrap();
+        let plan = MemoryPlan::build(&g).unwrap();
+        for node in g.nodes() {
+            let region = plan.region(node.outputs[0]).unwrap();
+            assert_eq!(region.len, 300);
+            assert_eq!(region.offset % REGION_ALIGN, 0);
+        }
+        // Two live at a time, each padded to 320.
+        assert_eq!(plan.planned_bytes(), 640);
+        assert_eq!(plan.unplanned_bytes(), 900);
     }
 
     #[test]

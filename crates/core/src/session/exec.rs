@@ -1,10 +1,11 @@
 //! Session execution: named and positional run paths over the pre-inference plan.
 
-use super::plan::Operand;
-use super::Session;
+use super::plan::{Operand, Step};
+use super::{Session, F32_BYTES};
 use crate::CoreError;
+use mnn_backend::Inputs;
 use mnn_obs::RunRecorder;
-use mnn_tensor::Tensor;
+use mnn_tensor::{DataType, Tensor, TensorView};
 use std::time::Instant;
 
 /// Timing of one inference.
@@ -45,20 +46,22 @@ impl Session {
             .output_named(name)
             .and_then(|id| self.graph.outputs().iter().position(|out| *out == id))
             .ok_or_else(|| self.unknown_output(name))?;
-        self.outputs.get(position).ok_or_else(|| {
-            CoreError::InvalidInput(format!(
+        if !self.ran {
+            return Err(CoreError::InvalidInput(format!(
                 "output '{name}' is not available: run the session first"
-            ))
-        })
+            )));
+        }
+        Ok(&self.outputs[position])
     }
 
     /// Run one inference with named inputs, e.g.
     /// `session.run_with(&[("data", &tensor)])`.
     ///
     /// Returns the outputs in graph-output order; they also stay readable through
-    /// [`Session::output`], which is why this hands back copies. Outputs are
-    /// usually small (logits); the [`Session::input_mut`] +
-    /// [`Session::run_session`] + [`Session::output`] flow pays no copy at all.
+    /// [`Session::output`], which is why this hands back copies — the only
+    /// allocation of a steady-state call. Outputs are usually small (logits);
+    /// the [`Session::input_mut`] + [`Session::run_session`] +
+    /// [`Session::output`] flow allocates nothing at all.
     ///
     /// # Errors
     ///
@@ -74,21 +77,23 @@ impl Session {
         }
         // Resolve and validate the complete input list before staging anything:
         // a rejected call must not leave a half-updated staging area behind.
-        let mut provided: Vec<usize> = Vec::with_capacity(inputs.len());
-        for (name, tensor) in inputs {
+        for (index, (name, tensor)) in inputs.iter().enumerate() {
             let position = self.resolve_input(name)?;
-            if provided.contains(&position) {
+            let earlier = &inputs[..index];
+            if earlier
+                .iter()
+                .any(|(other, _)| self.resolve_input(other).ok() == Some(position))
+            {
                 return Err(CoreError::InvalidInput(format!(
                     "input '{name}' was provided more than once"
                 )));
             }
             self.check_input_shape(position, tensor)?;
-            provided.push(position);
         }
-        for (position, (_, tensor)) in provided.into_iter().zip(inputs) {
-            self.inputs[position] = (*tensor).clone();
+        for (name, tensor) in inputs {
+            self.stage(self.resolve_input(name)?, tensor);
         }
-        self.run_session()?;
+        self.execute()?;
         Ok(self.outputs.clone())
     }
 
@@ -131,7 +136,9 @@ impl Session {
         for (position, tensor) in inputs.iter().enumerate() {
             self.check_input_shape(position, tensor)?;
         }
-        self.inputs.clone_from_slice(inputs);
+        for (position, tensor) in inputs.iter().enumerate() {
+            self.stage(position, tensor);
+        }
         self.execute()?;
         Ok(self.outputs.clone())
     }
@@ -199,16 +206,30 @@ impl Session {
         Ok(())
     }
 
+    /// Copy an input of the checked shape into the staged tensor's own storage.
+    fn stage(&mut self, position: usize, tensor: &Tensor) {
+        let staged = &mut self.inputs[position];
+        match tensor.try_data_f32() {
+            Ok(data)
+                if staged.data().data_type() == DataType::F32
+                    && staged.data().len() == data.len() =>
+            {
+                staged.data_f32_mut().copy_from_slice(data)
+            }
+            // A caller put something else behind `input_mut`, or passes a
+            // tensor no kernel will take: the run that follows reports it.
+            _ => *staged = tensor.clone(),
+        }
+    }
+
     /// The inference loop: pure computation over the plan's step list (paper
-    /// Fig. 2's "execute" stage). Schemes, placements, operand slots and release
-    /// points were all decided by pre-inference; nothing is looked up here.
+    /// Fig. 2's "execute" stage). Schemes, placements, operands, arena regions
+    /// and scratch were all decided — and all memory allocated — by
+    /// pre-inference; step *i* writes its planned region and moves on.
     fn execute(&mut self) -> Result<(), CoreError> {
         // reset GPU virtual clocks so per-run stats are meaningful
         for backend in &mut self.backends {
             backend.reset_virtual_clock();
-        }
-        for backend in &mut self.backends {
-            backend.on_execute_begin();
         }
         let start = Instant::now();
 
@@ -217,33 +238,33 @@ impl Session {
         // listening `recorder` is `None` and the loop takes no timestamps.
         let mut recorder = RunRecorder::begin(self.config.profiler.as_ref());
 
-        // Slot `i` holds the output of step `i` until its last reader has run.
-        // Graph inputs are read by reference from the staged tensors — no copy
-        // on the hot path.
-        let staged_inputs = &self.inputs;
-        let mut slots: Vec<Option<Tensor>> = Vec::new();
-        slots.resize_with(self.plan.steps.len(), || None);
-
-        for (index, step) in self.plan.steps.iter_mut().enumerate() {
-            let activation_inputs: Vec<&Tensor> = step
-                .inputs
-                .iter()
-                .map(|operand| match *operand {
-                    Operand::Input(position) => &staged_inputs[position],
-                    Operand::Slot(slot) => slots[slot]
-                        .as_ref()
-                        .expect("the plan orders producers before readers and releases after"),
-                })
-                .collect();
-            let mut output = Tensor::zeros(mnn_tensor::Shape::vector(1));
+        let arena = &mut self.arena[self.arena_start..];
+        for index in 0..self.plan.steps.len() {
+            let (produced, rest) = self.plan.steps.split_at_mut(index);
+            let step = &mut rest[0];
+            // A correct plan puts every region the step reads wholly below or
+            // wholly above the one it writes; a wrong one fails a slice bound
+            // in `StepInputs::get` instead of aliasing.
+            let (below, rest) = arena.split_at_mut(step.offset);
+            let (output, above) = rest.split_at_mut(step.len);
+            let inputs = StepInputs {
+                operands: &step.inputs,
+                produced,
+                staged: &self.inputs,
+                below,
+                above,
+                above_start: step.offset + step.len,
+            };
             // Bytes are summed *before* the timestamp so accounting never
             // inflates the measured kernel time.
             let timed = recorder.is_some().then(|| {
-                let input_bytes: u64 = activation_inputs.iter().map(|t| t.byte_size() as u64).sum();
-                (input_bytes, Instant::now())
+                let elements: usize = (0..inputs.count())
+                    .map(|i| inputs.get(i).data().len())
+                    .sum();
+                (elements + step.len, Instant::now())
             });
             match step.execution.as_mut() {
-                Some(execution) => execution.run(&activation_inputs, &mut output)?,
+                Some(execution) => execution.run(&inputs, output, &mut self.scratch)?,
                 None => {
                     // Preparation was not decoupled: pay it inside the
                     // inference loop (Table 2 "w/o").
@@ -253,23 +274,23 @@ impl Session {
                         &self.graph,
                         &step.hint,
                     )?;
-                    execution.run(&activation_inputs, &mut output)?;
+                    execution.run(&inputs, output, &mut self.scratch)?;
                 }
             }
-            drop(activation_inputs);
-            if let (Some(recorder), Some((input_bytes, kernel_start))) = (&mut recorder, timed) {
-                let bytes = input_bytes + output.byte_size() as u64;
+            if let (Some(recorder), Some((elements, kernel_start))) = (&mut recorder, timed) {
+                let bytes = (elements * F32_BYTES) as u64;
                 recorder.record(&step.meta, kernel_start, bytes);
             }
-            slots[index] = Some(output);
-            for slot in &step.release {
-                slots[*slot] = None;
+            if cfg!(debug_assertions) {
+                // The plan may hand these regions to the next step: a read
+                // after this point is a read of someone else's data.
+                for dead in &step.release {
+                    let dead = &produced[*dead];
+                    arena[dead.offset..][..dead.len].fill(f32::NAN);
+                }
             }
         }
 
-        for backend in &mut self.backends {
-            backend.on_execute_end();
-        }
         if let Some(recorder) = recorder {
             recorder.finish();
         }
@@ -280,21 +301,57 @@ impl Session {
             gpu_virtual_ms,
         };
 
-        self.outputs.clear();
-        for operand in &self.plan.outputs {
-            // A graph output is normally produced by a node; a degenerate graph
-            // may also mark an input as an output (passthrough).
-            let tensor = match *operand {
-                Operand::Input(position) => self.inputs[position].clone(),
-                Operand::Slot(slot) => slots[slot].take().ok_or_else(|| {
-                    CoreError::InvalidInput(format!(
-                        "graph output #{} was never produced",
-                        self.outputs.len()
-                    ))
-                })?,
+        // Graph outputs are the only copies: out of the arena, which the next
+        // run overwrites, into the tensors `output` hands out.
+        for (operand, tensor) in self.plan.outputs.iter().zip(&mut self.outputs) {
+            let produced = match *operand {
+                // A graph output is normally produced by a node; a degenerate
+                // graph may also mark an input as an output (passthrough).
+                Operand::Input(position) => self.inputs[position].data_f32(),
+                Operand::Step(step) => {
+                    let step = &self.plan.steps[step];
+                    &arena[step.offset..][..step.len]
+                }
             };
-            self.outputs.push(tensor);
+            tensor.data_f32_mut().copy_from_slice(produced);
         }
+        self.ran = true;
         Ok(())
+    }
+}
+
+/// The activation inputs of one step, resolved on demand from its operands:
+/// a staged graph input, or the region an earlier step wrote — found in
+/// whichever half of the arena the running step's own output left it.
+struct StepInputs<'a> {
+    operands: &'a [Operand],
+    /// The steps before the running one (producers precede their readers).
+    produced: &'a [Step],
+    staged: &'a [Tensor],
+    /// The arena below the running step's output region, and from
+    /// `above_start`, just past it, on.
+    below: &'a [f32],
+    above: &'a [f32],
+    above_start: usize,
+}
+
+impl Inputs for StepInputs<'_> {
+    fn count(&self) -> usize {
+        self.operands.len()
+    }
+
+    fn get(&self, index: usize) -> TensorView<'_> {
+        match self.operands[index] {
+            Operand::Input(position) => self.staged[position].view(),
+            Operand::Step(step) => {
+                let step = &self.produced[step];
+                let data = if step.offset + step.len <= self.below.len() {
+                    &self.below[step.offset..][..step.len]
+                } else {
+                    &self.above[step.offset - self.above_start..][..step.len]
+                };
+                TensorView::new(&step.shape, data)
+            }
+        }
     }
 }

@@ -13,11 +13,13 @@
 //!    shares the graph with the interpreter through the `Arc`, may outlive it, and
 //!    can be moved onto worker threads.
 //!    The result is lowered once into a dense step list: each step owns its
-//!    execution, knows which slots it reads and which it frees afterwards, and
-//!    carries the metadata a profiler span needs.
+//!    execution, knows where in the session's arena its inputs and its output
+//!    live, and carries the metadata a profiler span needs. The arena (sized by
+//!    the memory plan) and one scratch area (for the hungriest step) are
+//!    allocated here.
 //! 3. [`Session::run_with`] / [`Session::run`] then perform pure computation: a
-//!    straight loop over the step list against a slot table, with no graph or
-//!    map lookup. I/O is addressed by name ([`Session::input_mut`],
+//!    straight loop in which step *i* writes its planned region, with no lookup
+//!    and no allocation. I/O is addressed by name ([`Session::input_mut`],
 //!    [`Session::output`]).
 //! 4. When the input geometry changes, [`Session::resize_input`] +
 //!    [`Session::resize_session`] re-run pre-inference for the new shapes —
@@ -35,10 +37,11 @@ pub use config::{SessionConfig, SessionConfigBuilder, DEFAULT_PLAN_CACHE_CAPACIT
 pub use exec::RunStats;
 pub use plan::{NodePlacement, PreInferenceReport};
 
-use crate::memory_plan::MemoryPlan;
+use crate::memory_plan::{MemoryPlan, REGION_ALIGN};
 use crate::CoreError;
 use mnn_backend::{Backend, CpuBackend, ForwardType, SimGpuBackend};
 use mnn_graph::{Graph, NodeId, TensorId};
+use mnn_kernels::Scratch;
 use mnn_tensor::{Shape, Tensor};
 use mnn_tune::{DeviceFingerprint, Tuner, TuningStats};
 use plan::ExecutionPlan;
@@ -93,23 +96,13 @@ impl Interpreter {
 }
 
 /// A cached pre-inference result: the geometry-specific graph plus its plan.
+/// A parked plan holds no activation memory — the arena is the session's.
 struct CachedPlan {
     graph: Arc<Graph>,
     plan: ExecutionPlan,
-    /// The plan's arena size, remembered so cache eviction/restoration can
-    /// move the figure between the `plan_cache` and `arena` accounts without
-    /// touching the plan.
-    arena_bytes: u64,
 }
 
-/// The session's handles into the `mnn_obs::resources` ledger: the active
-/// plan's arena bytes and the parked plans' bytes, charged under the
-/// session's scope ([`SessionConfig::resource_scope`], defaulting to the
-/// graph name). Every charge/release is one relaxed atomic op.
-struct SessionAccounts {
-    arena: mnn_obs::AccountedBytes,
-    plan_cache: mnn_obs::AccountedBytes,
-}
+const F32_BYTES: usize = std::mem::size_of::<f32>();
 
 /// An inference session: pre-inference results plus runtime state.
 ///
@@ -125,12 +118,23 @@ pub struct Session {
     backends: Vec<Box<dyn Backend>>,
     cpu_index: usize,
     plan: ExecutionPlan,
+    /// Every activation of a run: step *i* writes the region the memory plan
+    /// assigned its output, counted from `arena_start`. Grows to the largest
+    /// plan the session has activated and is reused, as is, by smaller ones.
+    arena: Vec<f32>,
+    /// The first element of `arena` on a [`REGION_ALIGN`] boundary.
+    arena_start: usize,
+    /// Temporaries of the running step (im2col matrix, Winograd tiles,
+    /// quantized activations), sized for the hungriest step of any plan so far.
+    scratch: Scratch,
     /// Input tensors staged for the next run, in graph-input order (see
     /// [`Session::input_mut`]).
     inputs: Vec<Tensor>,
-    /// Outputs of the most recent run, in graph-output order; empty before the
-    /// first run (see [`Session::output`]).
+    /// Outputs of the most recent run, in graph-output order, allocated with
+    /// the plan; meaningful once `ran` (see [`Session::output`]).
     outputs: Vec<Tensor>,
+    /// Whether a run has filled `outputs` at the current geometry.
+    ran: bool,
     /// Input shape changes staged by [`Session::resize_input`], applied by
     /// [`Session::resize_session`].
     pending_shapes: HashMap<TensorId, Shape>,
@@ -141,8 +145,13 @@ pub struct Session {
     /// Measured scheme selection over the process-shared, device-keyed tuning
     /// cache; `None` when tuning is off.
     tuner: Option<Tuner>,
-    /// Resource-ledger accounts; `None` when accounting is disabled.
-    accounts: Option<SessionAccounts>,
+    /// The `arena` account of the session's scope in the `mnn_obs::resources`
+    /// ledger ([`SessionConfig::resource_scope`], defaulting to the graph
+    /// name), charged [`Session::activation_bytes`] whenever those buffers are
+    /// (re)allocated; `None` when accounting is disabled.
+    account: Option<mnn_obs::AccountedBytes>,
+    /// What this session has charged to `account`.
+    charged_bytes: u64,
 }
 
 // Sessions must stay movable across threads; this fails to compile if a
@@ -217,41 +226,71 @@ impl Session {
                 mnn_obs::metrics::LATENCY_MS_BUCKETS,
             )
             .observe(prepare_start.elapsed().as_secs_f64() * 1000.0);
-        let inputs = Self::fresh_inputs(&graph)?;
-
-        // Charge the freshly planned arena to the resource ledger. The hot
-        // path is exactly one relaxed atomic add; roll-ups happen at
-        // snapshot/render time.
-        let accounts = if config.account_resources {
-            let scope = config
-                .resource_scope
-                .clone()
-                .unwrap_or_else(|| graph.name().to_string());
-            let accounts = SessionAccounts {
-                arena: mnn_obs::resources::account(&scope, "arena"),
-                plan_cache: mnn_obs::resources::account(&scope, "plan_cache"),
-            };
-            accounts.arena.add(plan.memory_plan.planned_bytes() as u64);
-            Some(accounts)
-        } else {
-            None
-        };
-
-        Ok(Session {
+        let account = config.account_resources.then(|| {
+            let scope = config.resource_scope.as_deref();
+            mnn_obs::resources::account(scope.unwrap_or_else(|| graph.name()), "arena")
+        });
+        let mut session = Session {
+            inputs: Self::zeroed(&graph, graph.inputs())?,
+            outputs: Self::zeroed(&graph, graph.outputs())?,
             graph,
             config,
             backends,
             cpu_index,
             plan,
-            inputs,
-            outputs: Vec::new(),
+            arena: Vec::new(),
+            arena_start: 0,
+            scratch: Scratch::default(),
+            ran: false,
             pending_shapes: HashMap::new(),
             plan_cache: HashMap::new(),
             cache_hits: 0,
             last_stats: RunStats::default(),
             tuner,
-            accounts,
-        })
+            account,
+            charged_bytes: 0,
+        };
+        session.hold_memory_for_plan();
+        Ok(session)
+    }
+
+    /// Make the arena and the scratch large enough for the active plan — the
+    /// one place activation memory is allocated, called whenever a plan becomes
+    /// active — and charge the ledger what is now held. A plan that fits what
+    /// an earlier, larger one left behind costs nothing here.
+    fn hold_memory_for_plan(&mut self) {
+        let planned = self.plan.memory_plan.planned_bytes() / F32_BYTES;
+        if self.arena.len() < self.arena_start + planned {
+            // Debug builds start from NaN so that a kernel which accumulates
+            // into an output it never cleared fails the conformance suites.
+            let fill = if cfg!(debug_assertions) {
+                f32::NAN
+            } else {
+                0.0
+            };
+            // One spare line, so the planned part can start on a boundary
+            // wherever the allocator put the buffer; the old arena goes first,
+            // so that the two are never resident together.
+            self.arena = Vec::new();
+            self.arena = vec![fill; planned + REGION_ALIGN / F32_BYTES];
+            let misalignment = self.arena.as_ptr() as usize % REGION_ALIGN;
+            self.arena_start = (REGION_ALIGN - misalignment) % REGION_ALIGN / F32_BYTES;
+        }
+        self.scratch.grow(self.plan.scratch);
+        let held = self.activation_bytes() as u64;
+        if let Some(account) = self.account.as_ref().filter(|_| held != self.charged_bytes) {
+            account.sub(self.charged_bytes);
+            account.add(held);
+            self.charged_bytes = held;
+        }
+    }
+
+    /// Bytes of activation memory this session holds: its arena plus its
+    /// scratch, as allocated (at least [`MemoryPlan::planned_bytes`] of the
+    /// largest plan activated so far). This is the figure the session charges
+    /// to the `arena` account of the resource ledger.
+    pub fn activation_bytes(&self) -> usize {
+        self.arena.capacity() * F32_BYTES + self.scratch.capacity_bytes()
     }
 
     /// Best-effort persistence of freshly measured tuning entries: a
@@ -265,19 +304,20 @@ impl Session {
         }
     }
 
-    /// The declared shape of a graph input.
-    fn input_shape(graph: &Graph, id: TensorId) -> Result<&Shape, CoreError> {
-        graph.tensor_info(id)?.shape.as_ref().ok_or_else(|| {
-            CoreError::InvalidInput(format!("graph input {id} has no declared shape"))
-        })
+    /// The shape of a graph input or output.
+    fn shape_of(graph: &Graph, id: TensorId) -> Result<&Shape, CoreError> {
+        graph
+            .tensor_info(id)?
+            .shape
+            .as_ref()
+            .ok_or_else(|| CoreError::InvalidInput(format!("graph tensor {id} has no shape")))
     }
 
-    /// Zero-filled staged input tensors matching the graph's current input shapes.
-    fn fresh_inputs(graph: &Graph) -> Result<Vec<Tensor>, CoreError> {
-        graph
-            .inputs()
-            .iter()
-            .map(|id| Ok(Tensor::zeros(Self::input_shape(graph, *id)?.clone())))
+    /// Zero-filled tensors of the shapes the graph currently gives `ids`: the
+    /// staged inputs, and the tensors a run copies the graph outputs into.
+    fn zeroed(graph: &Graph, ids: &[TensorId]) -> Result<Vec<Tensor>, CoreError> {
+        ids.iter()
+            .map(|id| Ok(Tensor::zeros(Self::shape_of(graph, *id)?.clone())))
             .collect()
     }
 
@@ -340,15 +380,10 @@ impl Session {
 }
 
 impl Drop for Session {
-    /// Release everything this session charged to the resource ledger: the
-    /// active plan's arena plus every parked plan.
+    /// Release what this session charged to the resource ledger.
     fn drop(&mut self) {
-        if let Some(accounts) = &self.accounts {
-            accounts
-                .arena
-                .sub(self.plan.memory_plan.planned_bytes() as u64);
-            let cached: u64 = self.plan_cache.values().map(|c| c.arena_bytes).sum();
-            accounts.plan_cache.sub(cached);
+        if let Some(account) = &self.account {
+            account.sub(self.charged_bytes);
         }
     }
 }

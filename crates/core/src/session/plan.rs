@@ -5,10 +5,12 @@
 //! Everything here is a pure function of (graph geometry, configuration): a
 //! session re-runs it whenever its input shapes change (`resize_session`) and
 //! caches the resulting plans per shape signature. Whatever the run loop needs
-//! to know about a node — where its operands live, what to free afterwards,
-//! how to describe it to a profiler — is decided here, once per plan.
+//! to know about a node — where in the arena its operands and its output live,
+//! which regions die with it, how much scratch it borrows, how to describe it
+//! to a profiler — is decided here, once per plan.
 
 use super::config::SessionConfig;
+use super::F32_BYTES;
 use crate::cost::{hybrid_schedule, placement_cost_ms, Placement};
 use crate::memory_plan::{release_points, MemoryPlan};
 use crate::scheme::{
@@ -18,7 +20,9 @@ use crate::scheme::{
 use crate::CoreError;
 use mnn_backend::{Backend, ConvScheme, Execution, ForwardType, SchemeHint};
 use mnn_graph::{Graph, Node, NodeId, Op, TensorId};
+use mnn_kernels::ScratchLen;
 use mnn_obs::OpMeta;
+use mnn_tensor::Shape;
 use mnn_tune::{candidates_for_node, OpSignature, Tuner};
 use std::collections::HashMap;
 use std::fmt;
@@ -178,12 +182,11 @@ fn scheme_label(scheme: Option<ConvScheme>) -> String {
 pub(super) enum Operand {
     /// The staged graph input at this position.
     Input(usize),
-    /// The slot written by the step at this index.
-    Slot(usize),
+    /// The output region of the step at this index.
+    Step(usize),
 }
 
-/// One node lowered for the run loop. Step `i` writes slot `i`, so the slot
-/// table of a run is as long as the step list.
+/// One node lowered for the run loop.
 pub(super) struct Step {
     pub(super) node: NodeId,
     pub(super) backend_index: usize,
@@ -193,22 +196,31 @@ pub(super) struct Step {
     /// Activation inputs in the node's input order (constants were captured
     /// by the execution).
     pub(super) inputs: Vec<Operand>,
-    /// Slots whose last reader is this step, dropped once it has run.
+    /// Where the step writes its output — the memory plan's assignment — in
+    /// `f32` elements from the start of the session's arena, its length
+    /// (`shape.num_elements()`) and the shape inference gave it.
+    pub(super) offset: usize,
+    pub(super) len: usize,
+    pub(super) shape: Shape,
+    /// Steps whose output this step is the last to read: the plan may reuse
+    /// their regions from the next step on.
     pub(super) release: Vec<usize>,
     /// How a timed run describes this step.
     pub(super) meta: OpMeta,
 }
 
 /// Everything pre-inference produced for one input geometry: the execution
-/// order, the step list (placements, operands, release points and pre-created
-/// executions), the memory plan and the report. Sessions swap whole plans on
-/// `resize_session`.
+/// order, the step list (placements, operands, arena regions, release points
+/// and pre-created executions), the memory plan and the report. Sessions swap
+/// whole plans on `resize_session`.
 pub(super) struct ExecutionPlan {
     pub(super) order: Vec<NodeId>,
     pub(super) steps: Vec<Step>,
     /// Where each graph output is found after the last step, in graph-output
     /// order.
     pub(super) outputs: Vec<Operand>,
+    /// What the hungriest step borrows from the session's scratch.
+    pub(super) scratch: ScratchLen,
     pub(super) report: PreInferenceReport,
     pub(super) memory_plan: MemoryPlan,
 }
@@ -228,7 +240,7 @@ fn operands(graph: &Graph, order: &[NodeId]) -> Result<Vec<Option<Operand>>, Cor
             CoreError::InvalidInput(format!("node '{}' has no output", node.name))
         })?;
         graph.tensor_info(*output)?;
-        operand_of[output.0] = Some(Operand::Slot(step));
+        operand_of[output.0] = Some(Operand::Step(step));
     }
     Ok(operand_of)
 }
@@ -260,7 +272,7 @@ pub(super) fn build_plan(
 
     // --- Memory plan (Fig. 3) and the dataflow of the step list ------------
     // One lifetime analysis serves both: the plan reuses a released tensor's
-    // arena region, the run loop drops its slot.
+    // arena region, a debug run poisons it.
     let order = graph.topological_order()?;
     let releases = release_points(graph, &order)?;
     let memory_plan = MemoryPlan::walk(graph, &order, &releases)?;
@@ -398,26 +410,38 @@ pub(super) fn build_plan(
         }
         let mut release = Vec::with_capacity(released.len());
         for tensor in released {
-            // Graph inputs are never released, so only slots can turn up.
-            if let Operand::Slot(slot) = operand(*tensor, node)? {
-                release.push(slot);
+            // Graph inputs are never released, so only steps can turn up.
+            if let Operand::Step(step) = operand(*tensor, node)? {
+                release.push(step);
             }
         }
-        let output_shape = graph.tensor_info(node.outputs[0])?.shape.as_ref();
+        let output = node.outputs[0];
+        let planned = graph.tensor_info(output)?.shape.clone();
+        let planned = planned.zip(memory_plan.region(output));
+        let Some((shape, region)) = planned.filter(|(s, r)| r.len == s.num_elements() * F32_BYTES)
+        else {
+            return Err(CoreError::InvalidInput(format!(
+                "output of node '{}' has no f32 region in the memory plan",
+                node.name
+            )));
+        };
         steps.push(Step {
             node: *node_id,
             backend_index: placement.backend_index,
             hint,
             execution: None,
             inputs,
+            offset: region.offset / F32_BYTES,
+            len: shape.num_elements(),
             release,
             meta: OpMeta {
                 name: node.name.clone(),
                 op: node.op.name().to_string(),
                 scheme: scheme_label(hint.conv_scheme),
                 placement: forward_type.to_string(),
-                shape: output_shape.map(ToString::to_string).unwrap_or_default(),
+                shape: shape.to_string(),
             },
+            shape,
         });
         report_placements.push(NodePlacement {
             node: *node_id,
@@ -478,6 +502,27 @@ pub(super) fn build_plan(
         }
     }
 
+    // --- Scratch: the largest single step's need (steps run one at a time) ---
+    let mut scratch = ScratchLen::default();
+    for step in &steps {
+        let node = graph.node(step.node)?;
+        let mut shapes = Vec::with_capacity(step.inputs.len());
+        for input in &node.inputs {
+            let info = graph.tensor_info(*input)?;
+            if !info.is_constant {
+                shapes.extend(&info.shape);
+            }
+        }
+        scratch = scratch.max(match &step.execution {
+            Some(execution) => execution.scratch(&shapes),
+            // Preparation is coupled to execution: every run creates this
+            // execution anew, so one is created here only to be asked.
+            None => backends[step.backend_index]
+                .on_create(node, graph, &step.hint)?
+                .scratch(&shapes),
+        });
+    }
+
     let cost_skipped_nodes = crate::cost::skipped_cost_nodes(graph);
     let report = PreInferenceReport {
         placements: report_placements,
@@ -498,6 +543,7 @@ pub(super) fn build_plan(
         order,
         steps,
         outputs,
+        scratch,
         report,
         memory_plan,
     })

@@ -11,7 +11,9 @@
 //!   unchanged — constant-weight captures, including Winograd-transformed
 //!   weights, survive the resize;
 //! * **caching whole plans per shape signature**, so alternating between
-//!   previously-seen geometries swaps plans in O(1) instead of re-planning.
+//!   previously-seen geometries swaps plans in O(1) instead of re-planning;
+//! * **keeping the arena**: it grows to the largest geometry seen and smaller
+//!   plans use a prefix, so a swap between known geometries allocates nothing.
 
 use super::plan::{build_plan, ensure_executions};
 use super::{CachedPlan, Session};
@@ -45,7 +47,7 @@ impl Session {
     /// [`PreInferenceReport::from_cache`](super::PreInferenceReport::from_cache)
     /// and counted by [`Session::plan_cache_hits`]). Staged input tensors are
     /// re-allocated (zero-filled) for inputs whose shape changed; outputs of
-    /// previous runs are cleared.
+    /// previous runs are no longer available.
     ///
     /// # Errors
     ///
@@ -81,12 +83,6 @@ impl Session {
             .inc();
 
         if let Some(mut cached) = self.plan_cache.remove(&target_key) {
-            // The restored plan leaves the cache account immediately; if
-            // execution re-creation below fails the plan is dropped, so its
-            // bytes must already be off the books.
-            if let Some(accounts) = &self.accounts {
-                accounts.plan_cache.sub(cached.arena_bytes);
-            }
             // Cache hit: swap plans. Executions that migrated to a newer plan in
             // the meantime are re-created; everything else is reused as-is.
             let retained = ensure_executions(
@@ -100,20 +96,13 @@ impl Session {
             // still held, not whatever the original cold build reused.
             cached.plan.report.reused_executions = retained;
             cached.plan.report.pre_inference_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let restored_bytes = cached.arena_bytes;
             let old_plan = std::mem::replace(&mut self.plan, cached.plan);
             let old_graph = std::mem::replace(&mut self.graph, cached.graph);
-            let old_bytes = old_plan.memory_plan.planned_bytes() as u64;
-            if let Some(accounts) = &self.accounts {
-                accounts.arena.sub(old_bytes);
-                accounts.arena.add(restored_bytes);
-            }
             self.park_plan(
                 current_key,
                 CachedPlan {
                     graph: old_graph,
                     plan: old_plan,
-                    arena_bytes: old_bytes,
                 },
             );
             self.cache_hits += 1;
@@ -160,33 +149,29 @@ impl Session {
                 )
                 .inc();
             new_plan.report.pre_inference_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let new_bytes = new_plan.memory_plan.planned_bytes() as u64;
             let old_plan = std::mem::replace(&mut self.plan, new_plan);
             let old_graph = std::mem::replace(&mut self.graph, new_graph);
-            let old_bytes = old_plan.memory_plan.planned_bytes() as u64;
-            if let Some(accounts) = &self.accounts {
-                accounts.arena.sub(old_bytes);
-                accounts.arena.add(new_bytes);
-            }
             self.park_plan(
                 current_key,
                 CachedPlan {
                     graph: old_graph,
                     plan: old_plan,
-                    arena_bytes: old_bytes,
                 },
             );
         }
+        self.hold_memory_for_plan();
 
-        // Refresh staged inputs: keep tensors whose shape is unchanged, replace
-        // resized ones with zero-filled tensors of the new shape.
-        for (id, staged) in self.graph.inputs().iter().zip(&mut self.inputs) {
-            let expected = Self::input_shape(&self.graph, *id)?;
-            if staged.shape() != expected {
-                *staged = Tensor::zeros(expected.clone());
+        // Refresh staged inputs and retained outputs: keep tensors whose shape
+        // is unchanged, replace resized ones with zero-filled tensors of the
+        // new shape.
+        let io = self.graph.inputs().iter().chain(self.graph.outputs());
+        for (id, tensor) in io.zip(self.inputs.iter_mut().chain(&mut self.outputs)) {
+            let expected = Self::shape_of(&self.graph, *id)?;
+            if tensor.shape() != expected {
+                *tensor = Tensor::zeros(expected.clone());
             }
         }
-        self.outputs.clear();
+        self.ran = false;
         Ok(())
     }
 
@@ -198,21 +183,12 @@ impl Session {
     fn park_plan(&mut self, key: Vec<Shape>, cached: CachedPlan) {
         let capacity = self.config.plan_cache_capacity;
         if capacity == 0 {
-            // The plan is dropped; its bytes already left the arena account
-            // at the swap, so there is nothing to move to the cache account.
             return;
         }
         if self.plan_cache.len() >= capacity {
             if let Some(evict) = self.plan_cache.keys().next().cloned() {
-                if let Some(evicted) = self.plan_cache.remove(&evict) {
-                    if let Some(accounts) = &self.accounts {
-                        accounts.plan_cache.sub(evicted.arena_bytes);
-                    }
-                }
+                self.plan_cache.remove(&evict);
             }
-        }
-        if let Some(accounts) = &self.accounts {
-            accounts.plan_cache.add(cached.arena_bytes);
         }
         self.plan_cache.insert(key, cached);
     }

@@ -574,9 +574,11 @@ fn scheme_changes_across_resize_are_visible_in_the_report() {
 // The step list
 // ---------------------------------------------------------------------------
 
-/// Walk the step list the way `execute` does and check, after every step, that
-/// the slots a run would hold are exactly the tensors whose memory-plan region
-/// is live: one lifetime analysis, two consumers.
+/// Walk the step list the way `execute` does and check, at every step, that
+/// the regions a run holds are exactly the tensors whose memory-plan region is
+/// live (one lifetime analysis, two consumers), that each step's region is the
+/// memory plan's assignment, and that while a step runs its output shares no
+/// byte with any of its inputs or with any other live region.
 fn assert_slots_follow_the_memory_plan(session: &Session, what: &str) {
     let plan = &session.plan;
     let produced: Vec<TensorId> = plan
@@ -585,15 +587,37 @@ fn assert_slots_follow_the_memory_plan(session: &Session, what: &str) {
         .map(|id| session.graph.node(*id).unwrap().outputs[0])
         .collect();
     assert_eq!(plan.steps.len(), produced.len(), "{what}");
+    let arena_elements = plan.memory_plan.planned_bytes() / 4;
+    assert!(session.arena.len() >= session.arena_start + arena_elements);
+    assert_eq!(
+        session.arena[session.arena_start..].as_ptr() as usize % REGION_ALIGN,
+        0,
+        "{what}: the arena starts off a cache line"
+    );
     let mut live = std::collections::BTreeSet::new();
     for (index, step) in plan.steps.iter().enumerate() {
+        let region = plan.memory_plan.region(produced[index]).unwrap();
+        assert_eq!((region.offset, region.len), (step.offset * 4, step.len * 4));
+        assert_eq!(region.offset % REGION_ALIGN, 0, "{what}: step {index}");
+        assert_eq!(step.len, step.shape.num_elements(), "{what}: step {index}");
+        assert!(step.offset + step.len <= arena_elements, "{what}");
         for operand in &step.inputs {
-            if let Operand::Slot(slot) = operand {
+            if let Operand::Step(slot) = operand {
                 assert!(
                     live.contains(slot),
                     "{what}: step {index} reads dead slot {slot}"
                 );
             }
+        }
+        // Inputs are still live here, so this covers them too.
+        for other in live.iter().map(|slot: &usize| &plan.steps[*slot]) {
+            let disjoint =
+                other.offset + other.len <= step.offset || step.offset + step.len <= other.offset;
+            assert!(
+                disjoint,
+                "{what}: step {index} ('{}') writes {}..+{} over live '{}' at {}..+{}",
+                step.meta.name, step.offset, step.len, other.meta.name, other.offset, other.len
+            );
         }
         live.insert(index);
         for slot in &step.release {
@@ -615,7 +639,7 @@ fn assert_slots_follow_the_memory_plan(session: &Session, what: &str) {
         );
     }
     for output in &plan.outputs {
-        if let Operand::Slot(slot) = output {
+        if let Operand::Step(slot) = output {
             assert!(live.contains(slot), "{what}: output slot {slot} was freed");
         }
     }
@@ -657,6 +681,35 @@ fn step_list_and_memory_plan_agree_on_every_zoo_model() {
     }
 }
 
+/// Debug builds make stale activation memory loud: the arena is born NaN and
+/// every region goes back to NaN when its release point passes, so after a run
+/// only the graph outputs hold numbers. A kernel that accumulates into an
+/// output it never cleared, or a step that reads a released region, then fails
+/// the conformance suites instead of passing on leftovers.
+#[cfg(debug_assertions)]
+#[test]
+fn debug_builds_poison_the_arena() {
+    let interpreter = Interpreter::from_graph(small_cnn()).unwrap();
+    let mut session = interpreter.create_session(SessionConfig::cpu(1)).unwrap();
+    assert!(session.arena.iter().all(|v| v.is_nan()));
+    assert!(session.run(&[input_tensor()]).unwrap()[0]
+        .data_f32()
+        .iter()
+        .all(|v| v.is_finite()));
+
+    let mut kept = vec![false; session.arena.len()];
+    for output in &session.plan.outputs {
+        if let Operand::Step(step) = output {
+            let step = &session.plan.steps[*step];
+            kept[session.arena_start + step.offset..][..step.len].fill(true);
+        }
+    }
+    assert!(kept.contains(&true));
+    for (value, kept) in session.arena.iter().zip(kept) {
+        assert_eq!(value.is_finite(), kept);
+    }
+}
+
 #[test]
 fn passthrough_outputs_and_repeated_operands_run() {
     let mut b = GraphBuilder::new("degenerate");
@@ -673,7 +726,7 @@ fn passthrough_outputs_and_repeated_operands_run() {
         // `relu` feeds both operands of `doubled`: read twice, freed once.
         assert_eq!(
             session.plan.steps[1].inputs,
-            [Operand::Slot(0), Operand::Slot(0)]
+            [Operand::Step(0), Operand::Step(0)]
         );
         assert_eq!(session.plan.steps[1].release, [0]);
         assert_slots_follow_the_memory_plan(&session, "degenerate");

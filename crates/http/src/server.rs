@@ -1,9 +1,10 @@
 //! The HTTP server: listener, connection threads, admission control and
 //! graceful drain.
 //!
-//! Built directly on `std::net` (no async runtime): a nonblocking accept
-//! loop hands each connection to its own thread, which reads with a short
-//! timeout so it can notice drain requests while idle. Admission control is
+//! Built directly on `std::net` (no async runtime): an accept loop (blocking
+//! until the drain starts, polling through it) hands each connection to its
+//! own thread, which reads with a short timeout so it can notice drain
+//! requests while idle. Admission control is
 //! two-layered — a connection cap here (`503` + `Retry-After` at accept
 //! time) and the per-model bounded queue underneath (`429` + `Retry-After`
 //! from the router).
@@ -17,14 +18,20 @@ use mnn_obs::metrics::names;
 use mnn_obs::{ActiveTrace, FlightRecorder, TraceContext};
 use mnn_serve::DrainReport;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop and idle connections poll for drain requests.
+/// How often idle connections poll for drain requests, and how long the
+/// accept loop backs off after a failed `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How often the accept loop looks, during a drain, for the last in-flight
+/// connection to finish or the deadline to pass. A drain is short and ends
+/// the loop, so polling it finely costs nothing that lasts.
+const DRAIN_POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Tunables for the HTTP frontend.
 #[derive(Debug, Clone)]
@@ -143,7 +150,6 @@ impl HttpServer {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         // Pre-register the full metric schema so the first `/metrics` scrape
@@ -243,9 +249,24 @@ impl HttpServer {
             .unwrap_or_else(|e| e.into_inner()) = Some(Instant::now() + deadline);
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.request_shutdown();
+        // The accept thread blocks in `accept` until the drain starts: a
+        // connection from here is what tells it. (It is served like any other:
+        // it reads end-of-stream and closes.)
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woken = TcpStream::connect_timeout(&wake, POLL_INTERVAL).is_ok();
 
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            // A thread that could not be told is left to find out at its next
+            // connection, not waited for.
+            if woken {
+                let _ = handle.join();
+            }
         }
         // Connection threads observe `draining` within one poll interval,
         // finish their buffered requests and exit.
@@ -289,6 +310,11 @@ impl HttpServer {
 
 /// Accept connections until drain completes; enforce the connection cap.
 ///
+/// Until the drain starts the thread blocks in `accept`, so a connection is
+/// picked up when it arrives ([`HttpServer::shutdown`] connects once to end the
+/// wait); from then on it polls, because it must also notice the last
+/// in-flight connection finishing and the drain deadline passing.
+///
 /// Draining does not stop accepting immediately: while in-flight connections
 /// are still finishing (and the drain deadline has not passed), new
 /// connections are accepted and served — each gets exactly one response with
@@ -300,15 +326,29 @@ fn accept_loop(
     shared: Arc<Shared>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    loop {
-        if shared.draining.load(Ordering::SeqCst)
+    let drained = || {
+        shared.draining.load(Ordering::SeqCst)
             && (shared.active_connections.load(Ordering::SeqCst) == 0
                 || shared.past_drain_deadline())
-        {
+    };
+    let mut polling = false;
+    loop {
+        if drained() {
             return;
+        }
+        if shared.draining.load(Ordering::SeqCst) && !polling {
+            if listener.set_nonblocking(true).is_err() {
+                return;
+            }
+            polling = true;
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // The connection that ended the blocking wait, if nothing is
+                // in flight: what the check above would have seen a moment on.
+                if drained() {
+                    return;
+                }
                 // Responses go out in one write, but a pipelined second small
                 // response would still wait behind Nagle for the first one's
                 // ACK. Best effort: failing only costs latency.
@@ -342,8 +382,9 @@ fn accept_loop(
                     }
                 }
             }
+            // Only the drain's nonblocking listener says this.
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::sleep(DRAIN_POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }

@@ -297,6 +297,35 @@ fn keep_alive_round_trips_do_not_wait_for_a_delayed_ack() {
     server.shutdown();
 }
 
+/// A connection is accepted when it arrives and a shutdown ends when the
+/// server is idle: neither waits out a poll interval. (With a sleeping accept
+/// loop the first round trip after `bind` took 25 ms or none, whichever way a
+/// thread-start race fell, and `shutdown` up to 25 ms more.)
+#[test]
+fn first_connection_and_shutdown_do_not_wait_for_a_poll() {
+    let mut rounds: Vec<Duration> = (0..9)
+        .map(|_| {
+            let mut registry = ModelRegistry::new();
+            registry
+                .register_zoo(ModelKind::TinyCnn, 16, &tiny_options(1))
+                .unwrap();
+            let server = HttpServer::bind("127.0.0.1:0", registry, HttpConfig::default()).unwrap();
+            // Let the accept thread reach its wait, as it has in any real use.
+            std::thread::sleep(Duration::from_millis(5));
+            let start = Instant::now();
+            let response = send(server.local_addr(), "GET", "/healthz", b"").unwrap();
+            assert_eq!(response.status, 200);
+            assert!(server.shutdown().drained);
+            start.elapsed()
+        })
+        .collect();
+    rounds.sort();
+    assert!(
+        rounds[rounds.len() / 2] < Duration::from_millis(20),
+        "connect + /healthz + shutdown: {rounds:?}"
+    );
+}
+
 /// Malformed bytes get a 400-family response, not a hang or a dropped
 /// connection without an answer.
 #[test]

@@ -37,10 +37,11 @@ fn get(registry: &ModelRegistry, path: &str, draining: bool) -> HttpResponse {
     response_of(route(&request("GET", path, b""), registry, draining))
 }
 
-/// What a model should be holding before its first inference: graph
-/// constants plus one planned arena per pooled worker session, measured on
-/// an unaccounted probe session built from an identical graph.
-fn expected_resident_bytes(kind: ModelKind, input_size: usize, workers: usize) -> u64 {
+/// What a model should be holding before its first inference, as
+/// `(constants, arena)`: the graph's constants, and the arena and scratch of
+/// one pooled worker session each — the real buffers of an unaccounted probe
+/// session built from an identical graph.
+fn expected_resident_bytes(kind: ModelKind, input_size: usize, workers: usize) -> (u64, u64) {
     let graph = build(kind, 1, input_size);
     let constants = graph.constant_bytes() as u64;
     let mut config = SessionConfig::cpu(1);
@@ -49,7 +50,11 @@ fn expected_resident_bytes(kind: ModelKind, input_size: usize, workers: usize) -
         .expect("probe graph is valid")
         .create_session(config)
         .expect("probe session builds");
-    constants + (workers as u64) * (session.memory_plan().planned_bytes() as u64)
+    assert!(session.activation_bytes() >= session.memory_plan().planned_bytes());
+    (
+        constants,
+        workers as u64 * session.activation_bytes() as u64,
+    )
 }
 
 #[test]
@@ -90,7 +95,8 @@ fn status_reports_memory_within_ten_percent_of_instrumented_allocations() {
         (ModelKind::TinyCnn, 16, "tiny-cnn"),
         (ModelKind::SqueezeNetV1_1, 32, "squeezenet-v1.1"),
     ] {
-        let expected = expected_resident_bytes(kind, input_size, WORKERS);
+        let (constants, arena) = expected_resident_bytes(kind, input_size, WORKERS);
+        let expected = constants + arena;
         let model = status
             .models
             .iter()
@@ -104,6 +110,18 @@ fn status_reports_memory_within_ten_percent_of_instrumented_allocations() {
              ({:.1}% off); components: {:?}",
             error * 100.0,
             model.memory.components,
+        );
+        // The arena account is not an estimate: it is the bytes the sessions hold.
+        let arena_account = model
+            .memory
+            .components
+            .iter()
+            .find(|c| c.component == "arena");
+        assert_eq!(
+            arena_account.map(|c| c.bytes),
+            Some(arena),
+            "model '{name}': {:?}",
+            model.memory.components
         );
         assert_eq!(model.workers, WORKERS);
         assert_eq!(model.stalled_workers, 0);

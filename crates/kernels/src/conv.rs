@@ -5,11 +5,14 @@
 //! sliding-window kernel, a Winograd variant (see [`crate::winograd`]) and the
 //! Strassen-backed 1×1 path, based on the arithmetic cost model.
 //!
-//! All kernels consume/produce NCHW `f32` buffers; `mnn-backend` handles packing.
+//! All kernels consume NCHW `f32` buffers and overwrite a caller-provided
+//! `[batch, oc, out_h, out_w]` `output`; temporaries come from a [`Scratch`] sized
+//! by the `*_scratch` function beside the kernel. Only the reference allocates.
 
 use crate::gemm::gemm_mt_with;
+use crate::scratch::{Scratch, ScratchLen};
 use crate::simd::{axpy_f32, KernelBackend};
-use crate::strassen::strassen_with;
+use crate::strassen::{strassen_scratch, strassen_with};
 
 /// Padding policy for convolution/pooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -223,12 +226,12 @@ pub fn conv2d_reference(
     weight: &[f32],
     bias: &[f32],
 ) -> Vec<f32> {
-    validate(params, batch, in_h, in_w, input, weight, bias);
     let (out_h, out_w) = params.output_size(in_h, in_w);
+    let mut output = vec![0.0f32; batch * params.out_channels * out_h * out_w];
+    validate(params, batch, in_h, in_w, input, weight, bias, &output);
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let ic_per_group = params.in_channels / params.groups;
     let oc_per_group = params.out_channels / params.groups;
-    let mut output = vec![0.0f32; batch * params.out_channels * out_h * out_w];
 
     for b in 0..batch {
         for oc in 0..params.out_channels {
@@ -288,16 +291,16 @@ pub fn conv2d_sliding_window(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
-    validate(params, batch, in_h, in_w, input, weight, bias);
+    output: &mut [f32],
+) {
+    validate(params, batch, in_h, in_w, input, weight, bias, output);
     let (out_h, out_w) = params.output_size(in_h, in_w);
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let ic_per_group = params.in_channels / params.groups;
     let oc_per_group = params.out_channels / params.groups;
-    let mut output = vec![0.0f32; batch * params.out_channels * out_h * out_w];
     let out_plane = out_h * out_w;
 
-    crate::parallel::parallel_chunks_mut(threads, &mut output, out_plane, |plane_index, planes| {
+    crate::parallel::parallel_chunks_mut(threads, output, out_plane, |plane_index, planes| {
         for (p, plane) in planes.chunks_mut(out_plane).enumerate() {
             let global = plane_index + p;
             let b = global / params.out_channels;
@@ -338,48 +341,26 @@ pub fn conv2d_sliding_window(
             }
         }
     });
-    output
+}
+
+/// Scratch of [`conv2d_im2col_with`]: the unfolded `[ic*kh*kw, out_h*out_w]`
+/// patch matrix of one sample.
+pub fn im2col_scratch(params: &ConvParams, in_h: usize, in_w: usize) -> ScratchLen {
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    ScratchLen::f32(params.in_channels * params.kernel_h * params.kernel_w * out_h * out_w)
 }
 
 /// im2col + GEMM convolution: unfolds input patches into a matrix and computes the
 /// convolution as `[oc, ic*kh*kw] × [ic*kh*kw, out_h*out_w]`.
 ///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the parameters, or if `groups != 1`
-/// (grouped convolutions take the sliding-window or depthwise path).
-pub fn conv2d_im2col(
-    params: &ConvParams,
-    threads: usize,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    conv2d_im2col_with(
-        KernelBackend::Scalar,
-        params,
-        threads,
-        batch,
-        in_h,
-        in_w,
-        input,
-        weight,
-        bias,
-    )
-}
-
-/// [`conv2d_im2col`] with an explicit [`KernelBackend`] for the GEMM stage.
-///
-/// The unfold stage is identical across backends; only the `[oc, ic*kh*kw] ×
-/// [ic*kh*kw, out_h*out_w]` product dispatches to the SIMD micro-kernels.
+/// The unfold stage is identical across backends; only the product dispatches
+/// to `kb`'s micro-kernels.
 ///
 /// # Panics
 ///
-/// Same contract as [`conv2d_im2col`].
-#[allow(clippy::too_many_arguments)]
+/// Panics if buffer lengths do not match the parameters, if `groups != 1`
+/// (grouped convolutions take the sliding-window or depthwise path), or if
+/// `scratch` is smaller than [`im2col_scratch`].
 pub fn conv2d_im2col_with(
     kb: KernelBackend,
     params: &ConvParams,
@@ -390,15 +371,16 @@ pub fn conv2d_im2col_with(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+    scratch: &mut Scratch,
+) {
     assert_eq!(params.groups, 1, "im2col path requires groups == 1");
-    validate(params, batch, in_h, in_w, input, weight, bias);
+    validate(params, batch, in_h, in_w, input, weight, bias, output);
     let (out_h, out_w) = params.output_size(in_h, in_w);
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let k_dim = params.in_channels * params.kernel_h * params.kernel_w;
     let n_dim = out_h * out_w;
-    let mut output = vec![0.0f32; batch * params.out_channels * n_dim];
-    let mut col = vec![0.0f32; k_dim * n_dim];
+    let col = &mut scratch.f32[..k_dim * n_dim];
 
     for b in 0..batch {
         // im2col
@@ -437,7 +419,7 @@ pub fn conv2d_im2col_with(
             k_dim,
             n_dim,
             weight,
-            &col,
+            col,
             out_block,
         );
         if params.has_bias {
@@ -449,45 +431,23 @@ pub fn conv2d_im2col_with(
             }
         }
     }
-    output
+}
+
+/// Scratch of [`conv2d_1x1_strassen_with`]: the recursion's quadrants and
+/// products (nothing when Eq. 9 stops it at the first level).
+pub fn strassen_1x1_scratch(params: &ConvParams, in_h: usize, in_w: usize) -> ScratchLen {
+    strassen_scratch(params.out_channels, params.in_channels, in_h * in_w)
 }
 
 /// 1×1 convolution lowered to a large matrix multiplication
 /// `[oc, ic] × [ic, h*w]`, accelerated with the Strassen kernel when the paper's
-/// Eq. 9 condition says the recursion pays off.
+/// Eq. 9 condition says the recursion pays off. `kb` and `threads` drive the
+/// base-case GEMM of the recursion.
 ///
 /// # Panics
 ///
-/// Panics if the convolution is not pointwise or buffer lengths are wrong.
-pub fn conv2d_1x1_strassen(
-    params: &ConvParams,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    conv2d_1x1_strassen_with(
-        KernelBackend::Scalar,
-        params,
-        1,
-        batch,
-        in_h,
-        in_w,
-        input,
-        weight,
-        bias,
-    )
-}
-
-/// [`conv2d_1x1_strassen`] with an explicit [`KernelBackend`] and thread
-/// count for the base-case GEMM of the recursion.
-///
-/// # Panics
-///
-/// Same contract as [`conv2d_1x1_strassen`].
-#[allow(clippy::too_many_arguments)]
+/// Panics if the convolution is not pointwise, buffer lengths are wrong or
+/// `scratch` is smaller than [`strassen_1x1_scratch`].
 pub fn conv2d_1x1_strassen_with(
     kb: KernelBackend,
     params: &ConvParams,
@@ -498,14 +458,15 @@ pub fn conv2d_1x1_strassen_with(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+    scratch: &mut Scratch,
+) {
     assert!(
         params.is_pointwise(),
         "conv2d_1x1_strassen requires a 1x1 s1 d1 convolution"
     );
-    validate(params, batch, in_h, in_w, input, weight, bias);
+    validate(params, batch, in_h, in_w, input, weight, bias, output);
     let spatial = in_h * in_w;
-    let mut output = vec![0.0f32; batch * params.out_channels * spatial];
     for b in 0..batch {
         let in_block = &input[b * params.in_channels * spatial..][..params.in_channels * spatial];
         let out_block =
@@ -520,6 +481,7 @@ pub fn conv2d_1x1_strassen_with(
             weight,
             in_block,
             out_block,
+            &mut scratch.f32,
         );
         if params.has_bias {
             for oc in 0..params.out_channels {
@@ -530,32 +492,9 @@ pub fn conv2d_1x1_strassen_with(
             }
         }
     }
-    output
 }
 
 /// Depthwise convolution (each channel convolved with its own kernel).
-///
-/// # Panics
-///
-/// Panics if the parameters do not describe a depthwise convolution.
-pub fn conv2d_depthwise(
-    params: &ConvParams,
-    threads: usize,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    assert!(
-        params.is_depthwise(),
-        "conv2d_depthwise requires groups == in_channels == out_channels"
-    );
-    conv2d_sliding_window(params, threads, batch, in_h, in_w, input, weight, bias)
-}
-
-/// [`conv2d_depthwise`] with an explicit [`KernelBackend`].
 ///
 /// With a SIMD backend and unit column stride/dilation, each kernel tap
 /// becomes one vector axpy over the valid output row span (`out_row += wv *
@@ -567,7 +506,6 @@ pub fn conv2d_depthwise(
 ///
 /// Panics if the parameters do not describe a depthwise convolution or buffer
 /// lengths are wrong.
-#[allow(clippy::too_many_arguments)]
 pub fn conv2d_depthwise_with(
     kb: KernelBackend,
     params: &ConvParams,
@@ -578,22 +516,24 @@ pub fn conv2d_depthwise_with(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+) {
     assert!(
         params.is_depthwise(),
         "conv2d_depthwise requires groups == in_channels == out_channels"
     );
     let row_axpy = params.stride_w == 1 && params.dilation_w == 1;
     if !kb.is_simd() || !row_axpy {
-        return conv2d_sliding_window(params, threads, batch, in_h, in_w, input, weight, bias);
+        return conv2d_sliding_window(
+            params, threads, batch, in_h, in_w, input, weight, bias, output,
+        );
     }
-    validate(params, batch, in_h, in_w, input, weight, bias);
+    validate(params, batch, in_h, in_w, input, weight, bias, output);
     let (out_h, out_w) = params.output_size(in_h, in_w);
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let out_plane = out_h * out_w;
-    let mut output = vec![0.0f32; batch * params.out_channels * out_plane];
 
-    crate::parallel::parallel_chunks_mut(threads, &mut output, out_plane, |plane_index, planes| {
+    crate::parallel::parallel_chunks_mut(threads, output, out_plane, |plane_index, planes| {
         for (p, plane) in planes.chunks_mut(out_plane).enumerate() {
             let global = plane_index + p;
             let b = global / params.out_channels;
@@ -635,7 +575,6 @@ pub fn conv2d_depthwise_with(
             }
         }
     });
-    output
 }
 
 fn validate(
@@ -646,6 +585,7 @@ fn validate(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
+    output: &[f32],
 ) {
     assert!(params.groups >= 1, "groups must be >= 1");
     assert_eq!(
@@ -675,6 +615,12 @@ fn validate(
             "bias buffer length mismatch"
         );
     }
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    assert_eq!(
+        output.len(),
+        batch * params.out_channels * out_h * out_w,
+        "output buffer length mismatch"
+    );
 }
 
 #[cfg(test)]
@@ -686,6 +632,47 @@ mod tests {
 
     fn random(rng: &mut StdRng, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// The write-into kernels on square inputs, through [`Scratch::collect`].
+    fn output_len(p: &ConvParams, batch: usize, size: usize) -> usize {
+        let (out_h, out_w) = p.output_size(size, size);
+        batch * p.out_channels * out_h * out_w
+    }
+
+    fn sliding_window(
+        p: &ConvParams,
+        threads: usize,
+        batch: usize,
+        size: usize,
+        x: &[f32],
+        w: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        Scratch::collect(
+            output_len(p, batch, size),
+            ScratchLen::default(),
+            |out, _| conv2d_sliding_window(p, threads, batch, size, size, x, w, b, out),
+        )
+    }
+
+    fn im2col(
+        p: &ConvParams,
+        threads: usize,
+        batch: usize,
+        size: usize,
+        x: &[f32],
+        w: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        Scratch::collect(
+            output_len(p, batch, size),
+            im2col_scratch(p, size, size),
+            |out, scratch| {
+                let kb = KernelBackend::Scalar;
+                conv2d_im2col_with(kb, p, threads, batch, size, size, x, w, b, out, scratch)
+            },
+        )
     }
 
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -745,7 +732,7 @@ mod tests {
             let weight = random(&mut rng, p.weight_len());
             let bias = random(&mut rng, oc);
             let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &bias);
-            let got = conv2d_sliding_window(&p, 2, 1, size, size, &input, &weight, &bias);
+            let got = sliding_window(&p, 2, 1, size, &input, &weight, &bias);
             assert!(max_diff(&expected, &got) < 1e-4, "k={k} ic={ic} oc={oc}");
         }
     }
@@ -765,7 +752,7 @@ mod tests {
             let weight = random(&mut rng, p.weight_len());
             let bias = random(&mut rng, oc);
             let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &bias);
-            let got = conv2d_im2col(&p, 2, 1, size, size, &input, &weight, &bias);
+            let got = im2col(&p, 2, 1, size, &input, &weight, &bias);
             assert!(max_diff(&expected, &got) < 1e-4, "k={k} ic={ic} oc={oc}");
         }
     }
@@ -780,7 +767,16 @@ mod tests {
         let weight = random(&mut rng, p.weight_len());
         let bias = random(&mut rng, 64);
         let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &bias);
-        let got = conv2d_1x1_strassen(&p, 1, size, size, &input, &weight, &bias);
+        let got = Scratch::collect(
+            expected.len(),
+            strassen_1x1_scratch(&p, size, size),
+            |out, scratch| {
+                let kb = KernelBackend::Scalar;
+                conv2d_1x1_strassen_with(
+                    kb, &p, 1, 1, size, size, &input, &weight, &bias, out, scratch,
+                )
+            },
+        );
         assert!(max_diff(&expected, &got) < 1e-3);
     }
 
@@ -794,7 +790,10 @@ mod tests {
         let weight = random(&mut rng, p.weight_len());
         let bias = random(&mut rng, 8);
         let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &bias);
-        let got = conv2d_depthwise(&p, 3, 1, size, size, &input, &weight, &bias);
+        let got = Scratch::collect(expected.len(), ScratchLen::default(), |out, _| {
+            let kb = KernelBackend::Scalar;
+            conv2d_depthwise_with(kb, &p, 3, 1, size, size, &input, &weight, &bias, out)
+        });
         assert!(max_diff(&expected, &got) < 1e-4);
     }
 
@@ -806,9 +805,9 @@ mod tests {
         let input = random(&mut rng, 2 * 3 * size * size);
         let weight = random(&mut rng, p.weight_len());
         let expected = conv2d_reference(&p, 2, size, size, &input, &weight, &[]);
-        let got = conv2d_im2col(&p, 2, 2, size, size, &input, &weight, &[]);
+        let got = im2col(&p, 2, 2, size, &input, &weight, &[]);
         assert!(max_diff(&expected, &got) < 1e-4);
-        let got_sw = conv2d_sliding_window(&p, 2, 2, size, size, &input, &weight, &[]);
+        let got_sw = sliding_window(&p, 2, 2, size, &input, &weight, &[]);
         assert!(max_diff(&expected, &got_sw) < 1e-4);
     }
 
@@ -830,9 +829,9 @@ mod tests {
             let input = random(&mut rng, 4 * size * size);
             let weight = random(&mut rng, p.weight_len());
             let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &[]);
-            let got = conv2d_sliding_window(&p, 2, 1, size, size, &input, &weight, &[]);
+            let got = sliding_window(&p, 2, 1, size, &input, &weight, &[]);
             assert!(max_diff(&expected, &got) < 1e-4, "{kh}x{kw}");
-            let got2 = conv2d_im2col(&p, 2, 1, size, size, &input, &weight, &[]);
+            let got2 = im2col(&p, 2, 1, size, &input, &weight, &[]);
             assert!(max_diff(&expected, &got2) < 1e-4, "{kh}x{kw} im2col");
         }
     }
@@ -854,8 +853,8 @@ mod tests {
             let input = random(&mut rng, ic * size * size);
             let weight = random(&mut rng, p.weight_len());
             let reference = conv2d_reference(&p, 1, size, size, &input, &weight, &[]);
-            let sliding = conv2d_sliding_window(&p, 2, 1, size, size, &input, &weight, &[]);
-            let im2col = conv2d_im2col(&p, 1, 1, size, size, &input, &weight, &[]);
+            let sliding = sliding_window(&p, 2, 1, size, &input, &weight, &[]);
+            let im2col = im2col(&p, 1, 1, size, &input, &weight, &[]);
             prop_assert!(max_diff(&reference, &sliding) < 1e-3);
             prop_assert!(max_diff(&reference, &im2col) < 1e-3);
         }

@@ -28,18 +28,21 @@ impl BinaryOp {
     }
 }
 
-/// Apply `op` element-wise over two equal-length buffers into a new buffer.
+/// Apply `op` element-wise over two equal-length buffers into `out`.
 ///
 /// # Panics
 ///
-/// Panics if the buffer lengths differ.
-pub fn binary(op: BinaryOp, a: &[f32], b: &[f32]) -> Vec<f32> {
+/// Panics if the three buffer lengths differ.
+pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(
         a.len(),
         b.len(),
         "element-wise operands must have equal length"
     );
-    a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect()
+    assert_eq!(out.len(), a.len(), "element-wise output length mismatch");
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = op.apply(x, y);
+    }
 }
 
 /// Apply `op` element-wise, writing into `a` (`a = op(a, b)`).
@@ -91,43 +94,68 @@ pub fn binary_broadcast_channel(
     }
 }
 
-/// Concatenate NCHW tensors along the channel axis.
-///
-/// Every input is `[batch, c_i, h, w]`; the output is `[batch, Σc_i, h, w]`.
+/// One input of a concatenation of NCHW tensors along the channel axis: copy
+/// `src` (`[batch, channels, plane]`) into channels `channel_offset..
+/// channel_offset + channels` of `out` (`[batch, total_channels, plane]`).
+/// Calling it once per input, with the offsets summing to `total_channels`,
+/// writes every element of `out`.
 ///
 /// # Panics
 ///
-/// Panics if the inputs disagree on `batch`/`h`/`w` (detected via buffer lengths).
+/// Panics if a buffer length disagrees with its dimensions or the channel
+/// range does not fit.
 pub fn concat_channels(
-    inputs: &[(&[f32], usize)],
+    out: &mut [f32],
+    total_channels: usize,
+    channel_offset: usize,
+    src: &[f32],
+    channels: usize,
     batch: usize,
     plane: usize,
-) -> (Vec<f32>, usize) {
-    let total_c: usize = inputs.iter().map(|(_, c)| c).sum();
-    let mut out = vec![0.0f32; batch * total_c * plane];
-    for (data, c) in inputs {
-        assert_eq!(
-            data.len(),
-            batch * c * plane,
-            "concat input length mismatch"
-        );
-    }
+) {
+    assert_eq!(
+        src.len(),
+        batch * channels * plane,
+        "concat input length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        batch * total_channels * plane,
+        "concat output length mismatch"
+    );
+    assert!(
+        channel_offset + channels <= total_channels,
+        "concat channel range out of bounds"
+    );
     for b in 0..batch {
-        let mut c_offset = 0usize;
-        for (data, c) in inputs {
-            let src = &data[b * c * plane..][..c * plane];
-            let dst = &mut out[(b * total_c + c_offset) * plane..][..c * plane];
-            dst.copy_from_slice(src);
-            c_offset += c;
-        }
+        let from = &src[b * channels * plane..][..channels * plane];
+        out[(b * total_channels + channel_offset) * plane..][..channels * plane]
+            .copy_from_slice(from);
     }
-    (out, total_c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn binary_of(op: BinaryOp, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; a.len()];
+        binary(op, a, b, &mut out);
+        out
+    }
+
+    /// Concatenate `[batch, c_i, plane]` inputs, one `concat_channels` each.
+    fn concat_of(inputs: &[(&[f32], usize)], batch: usize, plane: usize) -> (Vec<f32>, usize) {
+        let total: usize = inputs.iter().map(|(_, c)| c).sum();
+        let mut out = vec![f32::NAN; batch * total * plane];
+        let mut offset = 0;
+        for (data, c) in inputs {
+            concat_channels(&mut out, total, offset, data, *c, batch, plane);
+            offset += c;
+        }
+        (out, total)
+    }
 
     #[test]
     fn binary_ops_scalar_semantics() {
@@ -142,7 +170,7 @@ mod tests {
     fn binary_and_inplace_agree() {
         let a = vec![1.0, -2.0, 3.0];
         let b = vec![0.5, 2.0, -1.0];
-        let out = binary(BinaryOp::Mul, &a, &b);
+        let out = binary_of(BinaryOp::Mul, &a, &b);
         let mut a2 = a.clone();
         binary_inplace(BinaryOp::Mul, &mut a2, &b);
         assert_eq!(out, a2);
@@ -151,7 +179,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal length")]
     fn binary_rejects_length_mismatch() {
-        binary(BinaryOp::Add, &[1.0], &[1.0, 2.0]);
+        binary_of(BinaryOp::Add, &[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -167,7 +195,7 @@ mod tests {
         // two inputs with 1 and 2 channels, plane = 2
         let a = vec![1.0, 2.0];
         let b = vec![3.0, 4.0, 5.0, 6.0];
-        let (out, c) = concat_channels(&[(&a, 1), (&b, 2)], 1, 2);
+        let (out, c) = concat_of(&[(&a, 1), (&b, 2)], 1, 2);
         assert_eq!(c, 3);
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
@@ -177,7 +205,7 @@ mod tests {
         // batch 2, plane 1: input A has 1 channel, input B has 1 channel
         let a = vec![1.0, 3.0]; // batches: [1], [3]
         let b = vec![2.0, 4.0];
-        let (out, c) = concat_channels(&[(&a, 1), (&b, 1)], 2, 1);
+        let (out, c) = concat_of(&[(&a, 1), (&b, 1)], 2, 1);
         assert_eq!(c, 2);
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
     }
@@ -187,9 +215,9 @@ mod tests {
         fn prop_add_commutes(a in proptest::collection::vec(-10.0f32..10.0, 1..32),
                              seed in 0u64..100) {
             let b: Vec<f32> = a.iter().map(|v| v * (seed as f32 % 7.0 - 3.0)).collect();
-            prop_assert_eq!(binary(BinaryOp::Add, &a, &b), binary(BinaryOp::Add, &b, &a));
-            prop_assert_eq!(binary(BinaryOp::Mul, &a, &b), binary(BinaryOp::Mul, &b, &a));
-            prop_assert_eq!(binary(BinaryOp::Max, &a, &b), binary(BinaryOp::Max, &b, &a));
+            prop_assert_eq!(binary_of(BinaryOp::Add, &a, &b), binary_of(BinaryOp::Add, &b, &a));
+            prop_assert_eq!(binary_of(BinaryOp::Mul, &a, &b), binary_of(BinaryOp::Mul, &b, &a));
+            prop_assert_eq!(binary_of(BinaryOp::Max, &a, &b), binary_of(BinaryOp::Max, &b, &a));
         }
 
         #[test]
@@ -198,7 +226,7 @@ mod tests {
         ) {
             let a = vec![1.0f32; batch * c1 * plane];
             let b = vec![2.0f32; batch * c2 * plane];
-            let (out, c) = concat_channels(&[(&a, c1), (&b, c2)], batch, plane);
+            let (out, c) = concat_of(&[(&a, c1), (&b, c2)], batch, plane);
             prop_assert_eq!(c, c1 + c2);
             prop_assert_eq!(out.len(), a.len() + b.len());
         }

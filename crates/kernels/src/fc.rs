@@ -3,42 +3,17 @@
 use crate::gemm::gemm_mt_with;
 use crate::simd::KernelBackend;
 
-/// Fully-connected layer: `y = x · Wᵀ + b`.
+/// Fully-connected layer: `y = x · Wᵀ + b`, written into `output`
+/// (`[batch, out_features]`, overwritten).
 ///
-/// `input` is `[batch, in_features]`, `weight` is `[out_features, in_features]`
-/// (the Caffe/ONNX convention), `bias` is `[out_features]` or empty; the result is
-/// `[batch, out_features]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent.
-pub fn fully_connected(
-    threads: usize,
-    batch: usize,
-    in_features: usize,
-    out_features: usize,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    fully_connected_with(
-        KernelBackend::Scalar,
-        threads,
-        batch,
-        in_features,
-        out_features,
-        input,
-        weight,
-        bias,
-    )
-}
-
-/// [`fully_connected`] with an explicit [`KernelBackend`] for the GEMM.
+/// `input` is `[batch, in_features]`; `weight_t` is the layer's weight
+/// **transposed** to `[in_features, out_features]` (the Caffe/ONNX `[out, in]`
+/// layout goes through [`crate::gemm::transpose`] once, when the layer is
+/// prepared, not on every call); `bias` is `[out_features]` or empty.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths are inconsistent.
-#[allow(clippy::too_many_arguments)]
 pub fn fully_connected_with(
     kb: KernelBackend,
     threads: usize,
@@ -46,12 +21,13 @@ pub fn fully_connected_with(
     in_features: usize,
     out_features: usize,
     input: &[f32],
-    weight: &[f32],
+    weight_t: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+) {
     assert_eq!(input.len(), batch * in_features, "input length mismatch");
     assert_eq!(
-        weight.len(),
+        weight_t.len(),
         out_features * in_features,
         "weight length mismatch"
     );
@@ -59,8 +35,6 @@ pub fn fully_connected_with(
         assert_eq!(bias.len(), out_features, "bias length mismatch");
     }
     // y[b][o] = sum_i x[b][i] * w[o][i]  ==  X (batch x in) * W^T (in x out)
-    let weight_t = crate::gemm::transpose(out_features, in_features, weight);
-    let mut output = vec![0.0f32; batch * out_features];
     gemm_mt_with(
         kb,
         threads,
@@ -68,8 +42,8 @@ pub fn fully_connected_with(
         in_features,
         out_features,
         input,
-        &weight_t,
-        &mut output,
+        weight_t,
+        output,
     );
     if !bias.is_empty() {
         for row in output.chunks_mut(out_features) {
@@ -78,15 +52,34 @@ pub fn fully_connected_with(
             }
         }
     }
-    output
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::transpose;
+    use crate::scratch::{Scratch, ScratchLen};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The scalar kernel on an `[out, in]` weight.
+    fn fully_connected(
+        threads: usize,
+        batch: usize,
+        inf: usize,
+        outf: usize,
+        input: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        assert_eq!(weight.len(), outf * inf, "weight length mismatch");
+        let weight_t = transpose(outf, inf, weight);
+        Scratch::collect(batch * outf, ScratchLen::default(), |out, _| {
+            let kb = KernelBackend::Scalar;
+            fully_connected_with(kb, threads, batch, inf, outf, input, &weight_t, bias, out)
+        })
+    }
 
     #[test]
     fn matches_manual_dot_products() {

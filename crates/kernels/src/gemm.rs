@@ -77,20 +77,8 @@ pub fn gemm_with(
     gemm_accumulate_with(kb, m, k, n, a, b, c);
 }
 
-/// Blocked GEMM that *accumulates* into `c` (`c += a × b`).
-///
-/// Used by Strassen recombination and by kernels that sum partial products over
-/// input-channel blocks.
-///
-/// # Panics
-///
-/// Panics if any slice length does not match its dimensions.
-pub fn gemm_accumulate(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    check_dims(m, k, n, a, b, c);
-    gemm_accumulate_scalar(m, k, n, a, b, c);
-}
-
-/// [`gemm_accumulate`] with an explicit [`KernelBackend`]. SIMD results differ
+/// Blocked GEMM that *accumulates* into `c` (`c += a × b`) on `kb`'s kernels:
+/// what [`gemm_with`] and [`gemm_mt_with`] run per row block. SIMD results differ
 /// from scalar only by FMA rounding (same reduction order over `k`); see
 /// `tests/simd_conformance.rs` for the documented tolerance.
 ///
@@ -171,30 +159,6 @@ pub fn gemm_mt_with(
         c_rows.fill(0.0);
         gemm_accumulate_with(kb, rows, k, n, a_block, b, c_rows);
     });
-}
-
-/// `c += alpha * a × b + beta * c_prev` convenience used by fused operators.
-/// `c` must already hold `c_prev`.
-///
-/// # Panics
-///
-/// Panics if any slice length does not match its dimensions.
-pub fn gemm_scaled(
-    m: usize,
-    k: usize,
-    n: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    check_dims(m, k, n, a, b, c);
-    let mut tmp = vec![0.0f32; m * n];
-    gemm_accumulate(m, k, n, a, b, &mut tmp);
-    for (dst, src) in c.iter_mut().zip(tmp.iter()) {
-        *dst = alpha * src + beta * *dst;
-    }
 }
 
 /// Number of scalar multiplications a direct `[m,k]×[k,n]` product performs.
@@ -279,17 +243,8 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0]; // 2x2
         let b = vec![1.0, 0.0, 0.0, 1.0]; // identity
         let mut c = vec![10.0, 10.0, 10.0, 10.0];
-        gemm_accumulate(2, 2, 2, &a, &b, &mut c);
+        gemm_accumulate_with(KernelBackend::Scalar, 2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0]);
-    }
-
-    #[test]
-    fn scaled_gemm_applies_alpha_beta() {
-        let a = vec![1.0, 0.0, 0.0, 1.0];
-        let b = vec![2.0, 0.0, 0.0, 2.0];
-        let mut c = vec![1.0, 1.0, 1.0, 1.0];
-        gemm_scaled(2, 2, 2, 0.5, &a, &b, 2.0, &mut c);
-        assert_eq!(c, vec![3.0, 2.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   operator kernels used by the model zoo.
 //! * [`quant`] — symmetric int8 quantization and a quantized GEMM/convolution path.
 //! * [`parallel`] — a tiny scoped-thread work partitioner used by the heavy kernels.
+//! * [`scratch`] — the typed temporaries a kernel call borrows: every kernel on the
+//!   inference path writes into a caller-provided output slice and allocates nothing.
 //!
 //! All kernels are validated against naive reference implementations in their unit
 //! and property tests; the schemes compared in the paper's Table 1/3 are benchmarked
@@ -37,8 +39,10 @@ pub mod norm;
 pub mod parallel;
 pub mod pool;
 pub mod quant;
+pub mod scratch;
 pub mod simd;
 pub mod strassen;
 pub mod winograd;
 
 pub use conv::{ConvParams, PadMode};
+pub use scratch::{Scratch, ScratchLen};

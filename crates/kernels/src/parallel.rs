@@ -27,28 +27,11 @@ pub fn parallel_for<F>(threads: usize, count: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    if count == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(count);
-    if threads == 1 {
-        body(0, count);
-        return;
-    }
-    // Balanced partitioning: the first `count % threads` chunks get one extra
-    // item, so chunk sizes differ by at most 1 and every thread gets work.
-    // (A `div_ceil`-sized chunk would leave threads idle: count=9, threads=8
-    // used to produce five chunks of 2,2,2,2,1 with three threads unused.)
-    let base = count / threads;
-    let rem = count % threads;
-    std::thread::scope(|scope| {
-        let mut start = 0usize;
-        for t in 0..threads {
-            let end = start + base + usize::from(t < rem);
-            let body = &body;
-            scope.spawn(move || body(start, end));
-            start = end;
-        }
+    // An index range is a chunk of `count` zero-sized items, which occupy no
+    // memory: one partitioning rule serves every helper here.
+    let mut items = vec![(); count];
+    parallel_chunks_mut(threads, &mut items, 1, |start, chunk| {
+        body(start, start + chunk.len())
     });
 }
 
@@ -66,6 +49,31 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    parallel_chunks_mut_scratch(threads, data, stride, &mut [0u8; 0], 0, |row, chunk, _| {
+        body(row, chunk)
+    });
+}
+
+/// [`parallel_chunks_mut`] for bodies that need working memory: each worker
+/// also gets its own `per_worker` elements of `scratch`, so the workers share
+/// one caller-provided buffer instead of allocating one each.
+///
+/// # Panics
+///
+/// Panics if `data.len()` is not a multiple of `stride`, or if `scratch` holds
+/// fewer than `per_worker` elements for each of the (at most `threads`) workers.
+pub fn parallel_chunks_mut_scratch<T, S, F>(
+    threads: usize,
+    data: &mut [T],
+    stride: usize,
+    scratch: &mut [S],
+    per_worker: usize,
+    body: F,
+) where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut [S]) + Sync,
+{
     assert_eq!(
         data.len() % stride,
         0,
@@ -77,24 +85,29 @@ where
     }
     let threads = threads.max(1).min(count);
     if threads == 1 {
-        body(0, data);
+        body(0, data, &mut scratch[..per_worker]);
         return;
     }
-    // Same balanced split as `parallel_for`: row counts differ by at most 1
-    // across workers, so no thread idles while another carries a double load.
+    // Balanced partitioning: the first `count % threads` workers get one extra
+    // row, so row counts differ by at most 1 and every thread gets work.
+    // (A `div_ceil`-sized share would leave threads idle: count=9, threads=8
+    // used to produce five shares of 2,2,2,2,1 with three threads unused.)
     let base = count / threads;
     let rem = count % threads;
     std::thread::scope(|scope| {
         let mut rest = data;
+        let mut spare = scratch;
         let mut row = 0usize;
         for t in 0..threads {
             let take_rows = base + usize::from(t < rem);
             let (head, tail) = rest.split_at_mut(take_rows * stride);
+            let (mine, others) = spare.split_at_mut(per_worker);
             let body = &body;
             let start_row = row;
-            scope.spawn(move || body(start_row, head));
+            scope.spawn(move || body(start_row, head, mine));
             row += take_rows;
             rest = tail;
+            spare = others;
         }
     });
 }
@@ -215,6 +228,34 @@ mod tests {
         });
         for (row, chunk) in data.chunks(3).enumerate() {
             assert!(chunk.iter().all(|&v| v == row));
+        }
+    }
+
+    #[test]
+    fn chunks_mut_scratch_gives_each_worker_its_own_slice() {
+        for threads in [1, 3, 8] {
+            let mut data = vec![0usize; 10 * 2];
+            let mut scratch = vec![usize::MAX; threads * 4];
+            parallel_chunks_mut_scratch(
+                threads,
+                &mut data,
+                2,
+                &mut scratch,
+                4,
+                |row, rows, mine| {
+                    assert_eq!(mine.len(), 4);
+                    mine.fill(row);
+                    for value in rows.iter_mut() {
+                        *value = mine[3];
+                    }
+                },
+            );
+            // Every row of a worker's share carries that worker's first row.
+            assert!(data
+                .chunks(2)
+                .enumerate()
+                .all(|(r, c)| c[0] <= r && c[0] == c[1]));
+            assert_eq!(data[0], 0);
         }
     }
 

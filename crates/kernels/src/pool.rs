@@ -88,11 +88,13 @@ impl PoolParams {
     }
 }
 
-/// 2-D pooling over an NCHW buffer. Returns `[batch, channels, out_h, out_w]`.
+/// 2-D pooling over an NCHW buffer into `output`
+/// (`[batch, channels, out_h, out_w]`, overwritten).
 ///
 /// # Panics
 ///
-/// Panics if `input.len() != batch * channels * in_h * in_w`.
+/// Panics if `input.len() != batch * channels * in_h * in_w` or `output` is
+/// not the pooled size.
 pub fn pool2d(
     params: &PoolParams,
     batch: usize,
@@ -100,7 +102,8 @@ pub fn pool2d(
     in_h: usize,
     in_w: usize,
     input: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+) {
     assert_eq!(
         input.len(),
         batch * channels * in_h * in_w,
@@ -119,7 +122,11 @@ pub fn pool2d(
         )
     };
     let (out_h, out_w) = params.output_size(in_h, in_w);
-    let mut output = vec![0.0f32; batch * channels * out_h * out_w];
+    assert_eq!(
+        output.len(),
+        batch * channels * out_h * out_w,
+        "output length mismatch"
+    );
     for b in 0..batch {
         for c in 0..channels {
             let plane = &input[(b * channels + c) * in_h * in_w..][..in_h * in_w];
@@ -169,33 +176,42 @@ pub fn pool2d(
             }
         }
     }
-    output
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::{Scratch, ScratchLen};
     use proptest::prelude::*;
+
+    fn pooled(p: &PoolParams, batch: usize, c: usize, h: usize, w: usize, x: &[f32]) -> Vec<f32> {
+        let (out_h, out_w) = p.output_size(h, w);
+        Scratch::collect(
+            batch * c * out_h * out_w,
+            ScratchLen::default(),
+            |out, _| pool2d(p, batch, c, h, w, x, out),
+        )
+    }
 
     #[test]
     fn max_pool_2x2() {
         // 1x1x4x4 input
         let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
-        let out = pool2d(&PoolParams::max(2), 1, 1, 4, 4, &input);
+        let out = pooled(&PoolParams::max(2), 1, 1, 4, 4, &input);
         assert_eq!(out, vec![6.0, 8.0, 14.0, 16.0]);
     }
 
     #[test]
     fn avg_pool_2x2() {
         let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
-        let out = pool2d(&PoolParams::avg(2), 1, 1, 4, 4, &input);
+        let out = pooled(&PoolParams::avg(2), 1, 1, 4, 4, &input);
         assert_eq!(out, vec![3.5, 5.5, 11.5, 13.5]);
     }
 
     #[test]
     fn global_avg_pool_reduces_to_one_value_per_channel() {
         let input: Vec<f32> = (0..2 * 3 * 4).map(|v| v as f32).collect();
-        let out = pool2d(&PoolParams::global_avg(), 1, 2, 3, 4, &input);
+        let out = pooled(&PoolParams::global_avg(), 1, 2, 3, 4, &input);
         assert_eq!(out.len(), 2);
         let mean0: f32 = input[..12].iter().sum::<f32>() / 12.0;
         let mean1: f32 = input[12..].iter().sum::<f32>() / 12.0;
@@ -209,7 +225,7 @@ mod tests {
         // exactly the 2x2 valid area with different counts.
         let params = PoolParams::avg(3).with_stride(2).with_pad(1);
         let input = vec![1.0, 2.0, 3.0, 4.0];
-        let out = pool2d(&params, 1, 1, 2, 2, &input);
+        let out = pooled(&params, 1, 1, 2, 2, &input);
         assert_eq!(out.len(), 1);
         assert!((out[0] - 2.5).abs() < 1e-6);
     }
@@ -218,7 +234,7 @@ mod tests {
     fn strided_max_pool_with_padding() {
         let params = PoolParams::max(3).with_stride(2).with_pad(1);
         let input: Vec<f32> = (1..=25).map(|v| v as f32).collect(); // 5x5
-        let out = pool2d(&params, 1, 1, 5, 5, &input);
+        let out = pooled(&params, 1, 1, 5, 5, &input);
         assert_eq!(params.output_size(5, 5), (3, 3));
         assert_eq!(
             out,
@@ -245,7 +261,7 @@ mod tests {
             let k = k.min(h).min(w);
             let input = &values[..h * w];
             let params = PoolParams::max(k);
-            let out = pool2d(&params, 1, 1, h, w, input);
+            let out = pooled(&params, 1, 1, h, w, input);
             let max_in = input.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             prop_assert!(out.iter().all(|&v| v <= max_in + 1e-6));
         }
@@ -257,7 +273,7 @@ mod tests {
         ) {
             let n = c * h * w;
             let input: Vec<f32> = (0..n).map(|i| ((i as u64 * 31 + seed) % 17) as f32).collect();
-            let out = pool2d(&PoolParams::global_avg(), 1, c, h, w, &input);
+            let out = pooled(&PoolParams::global_avg(), 1, c, h, w, &input);
             for ci in 0..c {
                 let mean: f32 = input[ci * h * w..(ci + 1) * h * w].iter().sum::<f32>() / (h * w) as f32;
                 prop_assert!((out[ci] - mean).abs() < 1e-4);

@@ -12,7 +12,8 @@
 //! one by one — the property `mnn-serve`'s dynamic batcher relies on.
 
 use crate::conv::ConvParams;
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::parallel_chunks_mut_scratch;
+use crate::scratch::{Scratch, ScratchLen};
 use crate::simd::{i8_axpy2_i32, i8_axpy_i32, KernelBackend};
 
 /// Quantization parameters for a symmetric int8 scheme: `real = scale * quantized`.
@@ -128,24 +129,8 @@ pub fn dequantize_per_channel(data: &[i8], scales: &[f32]) -> Vec<f32> {
 
 /// Int8 GEMM with i32 accumulation: `c_f32 = (a_i8 × b_i8) * a_scale * b_scale`.
 ///
-/// `a` is `[m, k]`, `b` is `[k, n]`, result is `[m, n]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the dimensions.
-pub fn gemm_i8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    a_params: QuantParams,
-    b: &[i8],
-    b_params: QuantParams,
-) -> Vec<f32> {
-    gemm_i8_with(KernelBackend::Scalar, m, k, n, a, a_params, b, b_params)
-}
-
-/// [`gemm_i8`] with an explicit [`KernelBackend`].
+/// `a` is `[m, k]`, `b` is `[k, n]`, `c` is `[m, n]` (overwritten); `scratch`
+/// lends one `i32` accumulator row (`n` elements).
 ///
 /// All backends are bit-identical: every partial product is exact in `i32`
 /// and integer addition is associative, so vectorization cannot change bits.
@@ -162,17 +147,22 @@ pub fn gemm_i8_with(
     a_params: QuantParams,
     b: &[i8],
     b_params: QuantParams,
-) -> Vec<f32> {
+    c: &mut [f32],
+    scratch: &mut Scratch,
+) {
     assert_eq!(a.len(), m * k, "A length mismatch");
     assert_eq!(b.len(), k * n, "B length mismatch");
+    assert_eq!(c.len(), m * n, "C length mismatch");
     let rescale = a_params.scale * b_params.scale;
-    let mut c = vec![0i32; m * n];
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
+    let acc = &mut scratch.i32[..n];
+    for (i, c_row) in c.chunks_mut(n.max(1)).enumerate() {
         // accumulate in i32 per the standard int8 inference recipe
-        accumulate_rows_i8(kb, c_row, b, &a[i * k..(i + 1) * k]);
+        acc.fill(0);
+        accumulate_rows_i8(kb, acc, b, &a[i * k..(i + 1) * k]);
+        for (out, &sum) in c_row.iter_mut().zip(&*acc) {
+            *out = sum as f32 * rescale;
+        }
     }
-    c.into_iter().map(|acc| acc as f32 * rescale).collect()
 }
 
 /// `acc += Σ_p w[p] · mat[p·len .. (p+1)·len]` with `len = acc.len()`,
@@ -203,54 +193,45 @@ fn accumulate_rows_i8(kb: KernelBackend, acc: &mut [i32], mat: &[i8], w: &[i8]) 
     }
 }
 
+/// Scratch of [`conv2d_quantized_with`]: one activation scale per
+/// `(sample, group)`, the quantized input plus one unfolded int8 patch matrix,
+/// and an `i32` accumulator plane per worker.
+pub fn conv2d_quantized_scratch(
+    params: &ConvParams,
+    threads: usize,
+    batch: usize,
+    in_h: usize,
+    in_w: usize,
+) -> ScratchLen {
+    let groups = params.groups.max(1);
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    let out_plane = out_h * out_w;
+    let k_dim = params.in_channels / groups * params.kernel_h * params.kernel_w;
+    ScratchLen {
+        f32: batch * groups,
+        i8: batch * params.in_channels * in_h * in_w + k_dim * out_plane,
+        i32: threads.max(1) * out_plane,
+    }
+}
+
 /// Quantized 2-D convolution with per-output-channel weight scales and full
-/// `groups` support (depthwise and grouped convolutions included).
+/// `groups` support (depthwise and grouped convolutions included), written
+/// into `output` (`[batch, oc, out_h, out_w]`, overwritten).
 ///
 /// Weights are int8 in the `[oc, ic/g, kh, kw]` layout with one scale per output
 /// channel; activations are quantized on the fly with one symmetric scale per
 /// `(sample, group)` — derived from that sample's data alone, so batched runs
-/// stay bit-identical to per-sample runs. Accumulation is exact in `i32`; the
-/// output is rescaled to `f32` and the (f32) bias added.
+/// stay bit-identical to per-sample runs. Accumulation is exact in `i32`, so
+/// the result is bit-identical on every `kb`; the output is rescaled to `f32`
+/// and the (f32) bias added.
 ///
 /// Layout conventions match [`crate::conv::conv2d_reference`].
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths do not match the parameters, `weight_scales.len() !=
-/// out_channels`, or channel counts are not divisible by `groups`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_quantized(
-    params: &ConvParams,
-    threads: usize,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    weight_q: &[i8],
-    weight_scales: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    conv2d_quantized_with(
-        KernelBackend::Scalar,
-        params,
-        threads,
-        batch,
-        in_h,
-        in_w,
-        input,
-        weight_q,
-        weight_scales,
-        bias,
-    )
-}
-
-/// [`conv2d_quantized`] with an explicit [`KernelBackend`] for the integer
-/// GEMM stage. Bit-identical across backends (exact `i32` accumulation).
-///
-/// # Panics
-///
-/// Same contract as [`conv2d_quantized`].
-#[allow(clippy::too_many_arguments)]
+/// out_channels`, channel counts are not divisible by `groups`, or `scratch` is
+/// smaller than [`conv2d_quantized_scratch`].
 pub fn conv2d_quantized_with(
     kb: KernelBackend,
     params: &ConvParams,
@@ -262,7 +243,9 @@ pub fn conv2d_quantized_with(
     weight_q: &[i8],
     weight_scales: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+    scratch: &mut Scratch,
+) {
     let groups = params.groups.max(1);
     assert!(
         params.in_channels.is_multiple_of(groups) && params.out_channels.is_multiple_of(groups),
@@ -291,11 +274,21 @@ pub fn conv2d_quantized_with(
     let icg = params.in_channels / groups;
     let ocg = params.out_channels / groups;
     let group_block = icg * in_h * in_w;
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
+    let out_plane = out_h * out_w;
+    let k_dim = icg * params.kernel_h * params.kernel_w;
+    assert_eq!(
+        output.len(),
+        batch * params.out_channels * out_plane,
+        "output length mismatch"
+    );
+    let input_scales = &mut scratch.f32[..batch * groups];
+    let (input_q, col) = scratch.i8[..input.len() + k_dim * out_plane].split_at_mut(input.len());
+    let accumulators = &mut scratch.i32[..];
 
     // Quantize activations once, per (sample, group): each scale is a function of
     // that sample's group slice only (batch-invariance for micro-batching).
-    let mut input_scales = vec![0.0f32; batch * groups];
-    let mut input_q = vec![0i8; input.len()];
     for b in 0..batch {
         for g in 0..groups {
             let start = (b * groups + g) * group_block;
@@ -308,19 +301,12 @@ pub fn conv2d_quantized_with(
         }
     }
 
-    let (out_h, out_w) = params.output_size(in_h, in_w);
-    let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
-    let out_plane = out_h * out_w;
-    let k_dim = icg * params.kernel_h * params.kernel_w;
-    let mut output = vec![0.0f32; batch * params.out_channels * out_plane];
-
     // im2col + integer GEMM, one (sample, group) at a time: the unfolded int8
     // patch matrix `col` is `[k_dim, out_plane]`, and every output channel of
     // the group is a `[k_dim]` weight row dotted against it with contiguous
     // inner loops and exact i32 accumulation. The accumulation order does not
     // affect the result (integer adds are associative), so thread count and
     // batching never change output bits.
-    let mut col = vec![0i8; k_dim * out_plane];
     for b in 0..batch {
         for g in 0..groups {
             col.fill(0);
@@ -354,27 +340,41 @@ pub fn conv2d_quantized_with(
             }
             let group_out_start = (b * params.out_channels + g * ocg) * out_plane;
             let group_out = &mut output[group_out_start..group_out_start + ocg * out_plane];
-            let col_ref = &col;
-            parallel_chunks_mut(threads, group_out, out_plane, |first_oc, planes| {
-                let mut acc = vec![0i32; out_plane];
-                for (o, plane) in planes.chunks_mut(out_plane).enumerate() {
-                    let oc = g * ocg + first_oc + o;
-                    acc.fill(0);
-                    let w_row = &weight_q[oc * k_dim..(oc + 1) * k_dim];
-                    accumulate_rows_i8(kb, &mut acc, col_ref, w_row);
-                    let rescale = input_scales[b * groups + g] * weight_scales[oc];
-                    let bias_v = if params.has_bias { bias[oc] } else { 0.0 };
-                    for (slot, &a) in plane.iter_mut().zip(&acc) {
-                        *slot = a as f32 * rescale + bias_v;
+            let (col, input_scale) = (&*col, input_scales[b * groups + g]);
+            parallel_chunks_mut_scratch(
+                threads,
+                group_out,
+                out_plane,
+                accumulators,
+                out_plane,
+                |first_oc, planes, acc| {
+                    for (o, plane) in planes.chunks_mut(out_plane).enumerate() {
+                        let oc = g * ocg + first_oc + o;
+                        acc.fill(0);
+                        let w_row = &weight_q[oc * k_dim..(oc + 1) * k_dim];
+                        accumulate_rows_i8(kb, acc, col, w_row);
+                        let rescale = input_scale * weight_scales[oc];
+                        let bias_v = if params.has_bias { bias[oc] } else { 0.0 };
+                        for (slot, &a) in plane.iter_mut().zip(&*acc) {
+                            *slot = a as f32 * rescale + bias_v;
+                        }
                     }
-                }
-            });
+                },
+            );
         }
     }
-    output
 }
 
-/// Quantized fully-connected layer: `y = x · Wᵀ + b` with int8 weights.
+/// Scratch of [`fully_connected_quantized`]: one quantized input row per worker.
+pub fn fully_connected_quantized_scratch(threads: usize, in_features: usize) -> ScratchLen {
+    ScratchLen {
+        i8: threads.max(1) * in_features,
+        ..ScratchLen::default()
+    }
+}
+
+/// Quantized fully-connected layer: `y = x · Wᵀ + b` with int8 weights, written
+/// into `output` (`[batch, out_features]`, overwritten).
 ///
 /// `weight_q` is `[out_features, in_features]` with one scale per output feature;
 /// each input row (sample) is quantized with its own symmetric scale, keeping
@@ -382,8 +382,8 @@ pub fn conv2d_quantized_with(
 ///
 /// # Panics
 ///
-/// Panics if slice lengths are inconsistent.
-#[allow(clippy::too_many_arguments)]
+/// Panics if slice lengths are inconsistent or `scratch` is smaller than
+/// [`fully_connected_quantized_scratch`].
 pub fn fully_connected_quantized(
     threads: usize,
     batch: usize,
@@ -393,7 +393,9 @@ pub fn fully_connected_quantized(
     weight_q: &[i8],
     weight_scales: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+    scratch: &mut Scratch,
+) {
     assert_eq!(input.len(), batch * in_features, "input length mismatch");
     assert_eq!(
         weight_q.len(),
@@ -408,27 +410,35 @@ pub fn fully_connected_quantized(
     if !bias.is_empty() {
         assert_eq!(bias.len(), out_features, "bias length mismatch");
     }
-    let mut output = vec![0.0f32; batch * out_features];
-    parallel_chunks_mut(threads, &mut output, out_features, |first_row, rows| {
-        for (r, row_out) in rows.chunks_mut(out_features).enumerate() {
-            let b = first_row + r;
-            let row = &input[b * in_features..(b + 1) * in_features];
-            let p = QuantParams::from_data(row);
-            let row_q: Vec<i8> = row.iter().map(|&v| quantize_value(v, p.scale)).collect();
-            for (o, out) in row_out.iter_mut().enumerate() {
-                let w_row = &weight_q[o * in_features..(o + 1) * in_features];
-                let mut acc: i32 = 0;
-                for (&x, &w) in row_q.iter().zip(w_row) {
-                    acc += x as i32 * w as i32;
+    assert_eq!(output.len(), batch * out_features, "output length mismatch");
+    parallel_chunks_mut_scratch(
+        threads,
+        output,
+        out_features,
+        &mut scratch.i8,
+        in_features,
+        |first_row, rows, row_q| {
+            for (r, row_out) in rows.chunks_mut(out_features).enumerate() {
+                let b = first_row + r;
+                let row = &input[b * in_features..(b + 1) * in_features];
+                let p = QuantParams::from_data(row);
+                for (q, &v) in row_q.iter_mut().zip(row) {
+                    *q = quantize_value(v, p.scale);
                 }
-                *out = acc as f32 * (p.scale * weight_scales[o]);
-                if !bias.is_empty() {
-                    *out += bias[o];
+                for (o, out) in row_out.iter_mut().enumerate() {
+                    let w_row = &weight_q[o * in_features..(o + 1) * in_features];
+                    let mut acc: i32 = 0;
+                    for (&x, &w) in row_q.iter().zip(w_row) {
+                        acc += x as i32 * w as i32;
+                    }
+                    *out = acc as f32 * (p.scale * weight_scales[o]);
+                    if !bias.is_empty() {
+                        *out += bias[o];
+                    }
                 }
             }
-        }
-    });
-    output
+        },
+    );
 }
 
 #[cfg(test)]
@@ -439,6 +449,70 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    // The write-into kernels on the scalar backend, through `Scratch::collect`.
+    fn gemm_i8(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[i8],
+        ap: QuantParams,
+        b: &[i8],
+        bp: QuantParams,
+    ) -> Vec<f32> {
+        let need = ScratchLen {
+            i32: n,
+            ..ScratchLen::default()
+        };
+        Scratch::collect(m * n, need, |c, scratch| {
+            gemm_i8_with(KernelBackend::Scalar, m, k, n, a, ap, b, bp, c, scratch)
+        })
+    }
+
+    fn conv2d_quantized(
+        p: &ConvParams,
+        threads: usize,
+        batch: usize,
+        in_h: usize,
+        in_w: usize,
+        input: &[f32],
+        wq: &[i8],
+        scales: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let (out_h, out_w) = p.output_size(in_h, in_w);
+        Scratch::collect(
+            batch * p.out_channels * out_h * out_w,
+            conv2d_quantized_scratch(p, threads, batch, in_h, in_w),
+            |out, scratch| {
+                let kb = KernelBackend::Scalar;
+                conv2d_quantized_with(
+                    kb, p, threads, batch, in_h, in_w, input, wq, scales, bias, out, scratch,
+                )
+            },
+        )
+    }
+
+    fn fc_quantized(
+        threads: usize,
+        batch: usize,
+        inf: usize,
+        outf: usize,
+        input: &[f32],
+        wq: &[i8],
+        scales: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        Scratch::collect(
+            batch * outf,
+            fully_connected_quantized_scratch(threads, inf),
+            |out, scratch| {
+                fully_connected_quantized(
+                    threads, batch, inf, outf, input, wq, scales, bias, out, scratch,
+                )
+            },
+        )
+    }
 
     #[test]
     fn quantize_dequantize_roundtrip_error_is_bounded() {
@@ -626,16 +700,19 @@ mod tests {
         let scales = per_channel_scales(&weight, outf);
         let wq = quantize_per_channel(&weight, &scales);
 
-        let got0 = fully_connected_quantized(1, 1, inf, outf, &x0, &wq, &scales, &bias);
-        let expected0 = crate::fc::fully_connected(1, 1, inf, outf, &x0, &weight, &bias);
-        for (g, e) in got0.iter().zip(&expected0) {
+        let got0 = fc_quantized(1, 1, inf, outf, &x0, &wq, &scales, &bias);
+        let expected0 = weight
+            .chunks(inf)
+            .zip(&bias)
+            .map(|(row, b)| row.iter().zip(&x0).map(|(w, x)| w * x).sum::<f32>() + b);
+        for (g, e) in got0.iter().zip(expected0) {
             assert!((g - e).abs() < 0.05, "{g} vs {e}");
         }
 
-        let got1 = fully_connected_quantized(1, 1, inf, outf, &x1, &wq, &scales, &bias);
+        let got1 = fc_quantized(1, 1, inf, outf, &x1, &wq, &scales, &bias);
         let mut batched_in = x0.clone();
         batched_in.extend_from_slice(&x1);
-        let batched = fully_connected_quantized(2, 2, inf, outf, &batched_in, &wq, &scales, &bias);
+        let batched = fc_quantized(2, 2, inf, outf, &batched_in, &wq, &scales, &bias);
         assert_eq!(&batched[..outf], &got0[..]);
         assert_eq!(&batched[outf..], &got1[..]);
     }

@@ -18,6 +18,7 @@
 //! level where the split happens; the padding is stripped when recombining.
 
 use crate::gemm::gemm_mt_with;
+use crate::scratch::ScratchLen;
 use crate::simd::KernelBackend;
 
 /// Minimum size the half-matrices must keep for another recursion level.
@@ -77,26 +78,37 @@ pub fn strassen_mul_count(m: usize, k: usize, n: usize) -> usize {
     7 * strassen_mul_count(mh, kh, nh)
 }
 
-/// Strassen matrix multiplication: `c = a × b` with `a: [m, k]`, `b: [k, n]`,
-/// `c: [m, n]`, all row-major.
-///
-/// Recursion depth is governed by [`should_recurse`] (paper Eq. 9); the base case
-/// falls back to the blocked [`gemm`](crate::gemm::gemm) kernel.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the dimensions.
-pub fn strassen(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    strassen_with(KernelBackend::Scalar, 1, m, k, n, a, b, c);
+/// `f32` scratch elements one recursion level over a `[m, k] × [k, n]` product
+/// carves for itself: the eight quadrants, one operand sum per side and the
+/// seven products.
+fn level_scratch(mh: usize, kh: usize, nh: usize) -> usize {
+    5 * mh * kh + 5 * kh * nh + 7 * mh * nh
 }
 
-/// [`strassen`] with an explicit [`KernelBackend`] and thread count for the
-/// base-case GEMM.
+/// Scratch [`strassen_with`] needs for a `[m, k] × [k, n]` product: every
+/// level the Eq. 9 policy will recurse through (the seven sub-products of a
+/// level run one after the other and share the next level's share), nothing
+/// when the product goes straight to the blocked GEMM.
+pub fn strassen_scratch(m: usize, k: usize, n: usize) -> ScratchLen {
+    let mut len = 0;
+    let (mut m, mut k, mut n) = (m, k, n);
+    while should_recurse(m, k, n) {
+        (m, k, n) = (m.div_ceil(2), k.div_ceil(2), n.div_ceil(2));
+        len += level_scratch(m, k, n);
+    }
+    ScratchLen::f32(len)
+}
+
+/// Strassen matrix multiplication: `c = a × b` with `a: [m, k]`, `b: [k, n]`,
+/// `c: [m, n]`, all row-major; `c` is overwritten.
+///
+/// Recursion depth is governed by [`should_recurse`] (paper Eq. 9); the base case
+/// falls back to the blocked GEMM on `kb` with `threads` workers.
 ///
 /// # Panics
 ///
-/// Panics if slice lengths do not match the dimensions.
-#[allow(clippy::too_many_arguments)]
+/// Panics if slice lengths do not match the dimensions or `scratch` is shorter
+/// than [`strassen_scratch`].
 pub fn strassen_with(
     kb: KernelBackend,
     threads: usize,
@@ -106,14 +118,39 @@ pub fn strassen_with(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    scratch: &mut [f32],
 ) {
     assert_eq!(a.len(), m * k, "A must be m*k elements");
     assert_eq!(b.len(), k * n, "B must be k*n elements");
     assert_eq!(c.len(), m * n, "C must be m*n elements");
-    strassen_impl(kb, threads, m, k, n, a, b, c);
+    strassen_impl(kb, threads, m, k, n, a, b, c, scratch);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The four `h × w` quadrants of the row-major `[rows, cols]` matrix `src`,
+/// copied into `dst` with implicit zero padding where `2h > rows` or
+/// `2w > cols`: `[q11, q12, q21, q22]`.
+fn quadrants<'s>(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    h: usize,
+    w: usize,
+    dst: &'s mut [f32],
+) -> [&'s [f32]; 4] {
+    dst.fill(0.0);
+    for (q, quadrant) in dst.chunks_mut(h * w).enumerate() {
+        let (r0, c0) = ((q / 2) * h, (q % 2) * w);
+        let copy_w = w.min(cols.saturating_sub(c0));
+        for r in 0..h.min(rows.saturating_sub(r0)) {
+            quadrant[r * w..r * w + copy_w].copy_from_slice(&src[(r0 + r) * cols + c0..][..copy_w]);
+        }
+    }
+    let (top, bottom) = dst.split_at(2 * h * w);
+    let (q11, q12) = top.split_at(h * w);
+    let (q21, q22) = bottom.split_at(h * w);
+    [q11, q12, q21, q22]
+}
+
 fn strassen_impl(
     kb: KernelBackend,
     threads: usize,
@@ -123,77 +160,64 @@ fn strassen_impl(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    scratch: &mut [f32],
 ) {
     if !should_recurse(m, k, n) {
         gemm_mt_with(kb, threads, m, k, n, a, b, c);
         return;
     }
 
-    // Pad odd dimensions up to even so the four quadrants are equal-sized.
-    let mp = m.div_ceil(2) * 2;
-    let kp = k.div_ceil(2) * 2;
-    let np = n.div_ceil(2) * 2;
-    let (mh, kh, nh) = (mp / 2, kp / 2, np / 2);
+    // Odd dimensions are padded up to even so the four quadrants are equal-sized.
+    let (mh, kh, nh) = (m.div_ceil(2), k.div_ceil(2), n.div_ceil(2));
+    let (a_quadrants, rest) = scratch.split_at_mut(4 * mh * kh);
+    let (b_quadrants, rest) = rest.split_at_mut(4 * kh * nh);
+    let (ta, rest) = rest.split_at_mut(mh * kh);
+    let (tb, rest) = rest.split_at_mut(kh * nh);
+    let (products, deeper) = rest.split_at_mut(7 * mh * nh);
+    let [a11, a12, a21, a22] = quadrants(a, m, k, mh, kh, a_quadrants);
+    let [b11, b12, b21, b22] = quadrants(b, k, n, kh, nh, b_quadrants);
 
-    // Quadrant extraction (with implicit zero padding), row-wise block copies.
-    let sub = |src: &[f32], rows: usize, cols: usize, r0: usize, c0: usize, h: usize, w: usize| {
-        let mut out = vec![0.0f32; h * w];
-        for r in 0..h {
-            let sr = r0 + r;
-            if sr >= rows {
-                break;
-            }
-            let copy_w = w.min(cols.saturating_sub(c0));
-            if copy_w > 0 {
-                out[r * w..r * w + copy_w]
-                    .copy_from_slice(&src[sr * cols + c0..sr * cols + c0 + copy_w]);
-            }
+    let add = |dst: &mut [f32], x: &[f32], y: &[f32]| {
+        for ((d, p), q) in dst.iter_mut().zip(x).zip(y) {
+            *d = p + q;
         }
-        out
+    };
+    let sub = |dst: &mut [f32], x: &[f32], y: &[f32]| {
+        for ((d, p), q) in dst.iter_mut().zip(x).zip(y) {
+            *d = p - q;
+        }
+    };
+    let mut product = |index: usize, x: &[f32], y: &[f32]| {
+        let out = &mut products[index * mh * nh..][..mh * nh];
+        strassen_impl(kb, threads, mh, kh, nh, x, y, out, deeper);
     };
 
-    let a11 = sub(a, m, k, 0, 0, mh, kh);
-    let a12 = sub(a, m, k, 0, kh, mh, kh);
-    let a21 = sub(a, m, k, mh, 0, mh, kh);
-    let a22 = sub(a, m, k, mh, kh, mh, kh);
-    let b11 = sub(b, k, n, 0, 0, kh, nh);
-    let b12 = sub(b, k, n, 0, nh, kh, nh);
-    let b21 = sub(b, k, n, kh, 0, kh, nh);
-    let b22 = sub(b, k, n, kh, nh, kh, nh);
-
-    let add = |x: &[f32], y: &[f32]| -> Vec<f32> { x.iter().zip(y).map(|(p, q)| p + q).collect() };
-    let subm = |x: &[f32], y: &[f32]| -> Vec<f32> { x.iter().zip(y).map(|(p, q)| p - q).collect() };
-
-    // The seven Strassen products.
-    let mut m1 = vec![0.0f32; mh * nh];
-    let mut m2 = vec![0.0f32; mh * nh];
-    let mut m3 = vec![0.0f32; mh * nh];
-    let mut m4 = vec![0.0f32; mh * nh];
-    let mut m5 = vec![0.0f32; mh * nh];
-    let mut m6 = vec![0.0f32; mh * nh];
-    let mut m7 = vec![0.0f32; mh * nh];
-
-    let product =
-        |a: &[f32], b: &[f32], c: &mut [f32]| strassen_impl(kb, threads, mh, kh, nh, a, b, c);
-    product(&add(&a11, &a22), &add(&b11, &b22), &mut m1);
-    product(&add(&a21, &a22), &b11, &mut m2);
-    product(&a11, &subm(&b12, &b22), &mut m3);
-    product(&a22, &subm(&b21, &b11), &mut m4);
-    product(&add(&a11, &a12), &b22, &mut m5);
-    product(&subm(&a21, &a11), &add(&b11, &b12), &mut m6);
-    product(&subm(&a12, &a22), &add(&b21, &b22), &mut m7);
+    // The seven Strassen products M1..M7.
+    add(ta, a11, a22);
+    add(tb, b11, b22);
+    product(0, ta, tb);
+    add(ta, a21, a22);
+    product(1, ta, b11);
+    sub(tb, b12, b22);
+    product(2, a11, tb);
+    sub(tb, b21, b11);
+    product(3, a22, tb);
+    add(ta, a11, a12);
+    product(4, ta, b22);
+    sub(ta, a21, a11);
+    add(tb, b11, b12);
+    product(5, ta, tb);
+    sub(ta, a12, a22);
+    add(tb, b21, b22);
+    product(6, ta, tb);
 
     // Recombine: C11 = M1 + M4 - M5 + M7, C12 = M3 + M5, C21 = M2 + M4,
     //            C22 = M1 - M2 + M3 + M6 — written row-wise so the inner loops
     //            vectorize and padding rows/columns are simply dropped.
     for qi in 0..mh {
-        let m1r = &m1[qi * nh..(qi + 1) * nh];
-        let m2r = &m2[qi * nh..(qi + 1) * nh];
-        let m3r = &m3[qi * nh..(qi + 1) * nh];
-        let m4r = &m4[qi * nh..(qi + 1) * nh];
-        let m5r = &m5[qi * nh..(qi + 1) * nh];
-        let m6r = &m6[qi * nh..(qi + 1) * nh];
-        let m7r = &m7[qi * nh..(qi + 1) * nh];
+        let row = |index: usize| &products[(index * mh + qi) * nh..][..nh];
+        let (m1r, m2r, m3r, m4r) = (row(0), row(1), row(2), row(3));
+        let (m5r, m6r, m7r) = (row(4), row(5), row(6));
 
         if qi < m {
             let c_row = &mut c[qi * n..(qi + 1) * n];
@@ -236,6 +260,11 @@ mod tests {
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f32::max)
+    }
+
+    fn strassen(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let mut scratch = vec![f32::NAN; strassen_scratch(m, k, n).f32];
+        strassen_with(KernelBackend::Scalar, 1, m, k, n, a, b, c, &mut scratch);
     }
 
     #[test]

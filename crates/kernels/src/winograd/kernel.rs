@@ -7,7 +7,8 @@
 use super::generator::{generate, WinogradTransforms};
 use crate::conv::ConvParams;
 use crate::gemm::gemm_mt_with;
-use crate::parallel::parallel_for;
+use crate::parallel::{parallel_chunks_mut, parallel_chunks_mut_scratch, parallel_for};
+use crate::scratch::{Scratch, ScratchLen};
 use crate::simd::KernelBackend;
 
 /// Winograd weights transformed once at preparation time (`W' = G·W·Gᵀ` for every
@@ -78,80 +79,43 @@ pub fn prepare_winograd_weights(
     }
 }
 
-/// Winograd convolution with output tile size `tile_n`.
+/// Scratch of [`conv2d_winograd_prepared_with`] for one sample: the transformed
+/// input `[α²][tiles][ic]`, a second area that first gathers it per tile and
+/// then holds the per-position products `[α²][tiles][oc]`, and `3·α²` of
+/// transform temporaries per worker.
+pub fn winograd_scratch(
+    params: &ConvParams,
+    tile_n: usize,
+    threads: usize,
+    in_h: usize,
+    in_w: usize,
+) -> ScratchLen {
+    let positions = (tile_n + params.kernel_h - 1).pow(2);
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    let tiles = out_h.div_ceil(tile_n) * out_w.div_ceil(tile_n);
+    let (ic, oc) = (params.in_channels, params.out_channels);
+    ScratchLen::f32(positions * (tiles * (ic + ic.max(oc)) + 3 * threads.max(1)))
+}
+
+/// Winograd convolution against weights transformed ahead of time by
+/// [`prepare_winograd_weights`] (the execution half of preparation–execution
+/// decoupling), written into `output` (`[batch, oc, out_h, out_w]`,
+/// overwritten).
 ///
 /// Supports stride 1, dilation 1, `groups == 1` and square kernels with
 /// `kernel >= 2` — exactly the cases for which the pre-inference scheme selection
 /// (paper Eq. 3) may choose Winograd. Arbitrary explicit padding is supported.
+/// `input` is NCHW `[batch, ic, in_h, in_w]`, `bias` is `[oc]` or empty.
 ///
-/// `input` is NCHW `[batch, ic, in_h, in_w]`, `weight` is `[oc, ic, k, k]`, `bias`
-/// is `[oc]` or empty; returns `[batch, oc, out_h, out_w]`.
-///
-/// The weight transform is performed on every call; sessions that run the same
-/// convolution repeatedly should call [`prepare_winograd_weights`] once and
-/// [`conv2d_winograd_prepared`] per inference instead.
-///
-/// # Panics
-///
-/// Panics if the parameters violate the restrictions above or buffer lengths do not
-/// match.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_winograd(
-    params: &ConvParams,
-    tile_n: usize,
-    threads: usize,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    let prepared = prepare_winograd_weights(params, tile_n, weight);
-    conv2d_winograd_prepared(params, &prepared, threads, batch, in_h, in_w, input, bias)
-}
-
-/// Winograd convolution running against weights transformed ahead of time by
-/// [`prepare_winograd_weights`] (the execution half of preparation–execution
-/// decoupling).
+/// `kb` runs the per-position `[tiles, ic] × [ic, oc]` GEMMs (tolerance, not
+/// bit-identity, vs scalar). The input/output transforms are scalar on every
+/// backend: they work on rows of 4–8 elements, where the vector `dot`/`axpy`
+/// lose to their own dispatch.
 ///
 /// # Panics
 ///
-/// Panics on buffer-length mismatches (same contract as [`conv2d_winograd`]).
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_winograd_prepared(
-    params: &ConvParams,
-    prepared: &PreparedWinogradWeights,
-    threads: usize,
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    input: &[f32],
-    bias: &[f32],
-) -> Vec<f32> {
-    conv2d_winograd_prepared_with(
-        KernelBackend::Scalar,
-        params,
-        prepared,
-        threads,
-        batch,
-        in_h,
-        in_w,
-        input,
-        bias,
-    )
-}
-
-/// [`conv2d_winograd_prepared`] with an explicit [`KernelBackend`] for the
-/// per-position `[tiles, ic] × [ic, oc]` GEMMs (tolerance, not bit-identity,
-/// vs scalar). The input/output transforms are scalar on every backend: they
-/// work on rows of 4–8 elements, where the vector `dot`/`axpy` lose to their
-/// own dispatch.
-///
-/// # Panics
-///
-/// Same contract as [`conv2d_winograd_prepared`].
-#[allow(clippy::too_many_arguments)]
+/// Panics if the parameters violate the restrictions above, buffer lengths do
+/// not match or `scratch` is smaller than [`winograd_scratch`].
 pub fn conv2d_winograd_prepared_with(
     kb: KernelBackend,
     params: &ConvParams,
@@ -162,7 +126,9 @@ pub fn conv2d_winograd_prepared_with(
     in_w: usize,
     input: &[f32],
     bias: &[f32],
-) -> Vec<f32> {
+    output: &mut [f32],
+    scratch: &mut Scratch,
+) {
     let tile_n = prepared.tile();
     check_winograd_params(params, tile_n);
     assert_eq!(
@@ -176,9 +142,15 @@ pub fn conv2d_winograd_prepared_with(
 
     let transforms = &prepared.transforms;
     let alpha = transforms.alpha;
+    let positions = alpha * alpha;
     let (ic, oc) = (params.in_channels, params.out_channels);
     let (out_h, out_w) = params.output_size(in_h, in_w);
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
+    assert_eq!(
+        output.len(),
+        batch * oc * out_h * out_w,
+        "output buffer length mismatch"
+    );
 
     // Tile grid over the output.
     let tiles_h = out_h.div_ceil(tile_n);
@@ -189,152 +161,129 @@ pub fn conv2d_winograd_prepared_with(
     let transformed_weight = &prepared.transformed;
     assert_eq!(
         transformed_weight.len(),
-        alpha * alpha * ic * oc,
+        positions * ic * oc,
         "prepared weights do not match the convolution parameters"
     );
 
-    let mut output = vec![0.0f32; batch * oc * out_h * out_w];
+    let (src_t, rest) = scratch.f32.split_at_mut(positions * tiles * ic);
+    let (staging, rest) = rest.split_at_mut(positions * tiles * ic.max(oc));
+    let workers = &mut rest[..3 * positions * threads.max(1)];
 
     for b in 0..batch {
-        // --- Input transform: src_t[pos][tile * ic + c]
-        let mut src_t = vec![0.0f32; alpha * alpha * tiles * ic];
-        {
-            let in_batch = &input[b * ic * in_h * in_w..][..ic * in_h * in_w];
-            // Parallelize over tiles; each tile writes a disjoint column set but the
-            // buffer is indexed [pos][tile][c], so give each worker its own tile range
-            // and use interior mutability via split writes per position.
-            // Simpler: build per-tile local tiles then scatter single-threaded.
-            // For performance we parallelize over tiles into a temporary buffer
-            // organized [tile][pos][c] and transpose-scatter afterwards.
-            let mut per_tile = vec![0.0f32; tiles * alpha * alpha * ic];
-            {
-                let per_tile_ref = &mut per_tile;
-                let transforms_ref = &transforms;
-                crate::parallel::parallel_chunks_mut(
-                    threads,
-                    per_tile_ref,
-                    alpha * alpha * ic,
-                    |tile_start, chunk| {
-                        let mut patch = vec![0.0f32; alpha * alpha];
-                        let mut scratch = vec![0.0f32; alpha * alpha];
-                        let mut xt = vec![0.0f32; alpha * alpha];
-                        for (t_local, tile_buf) in chunk.chunks_mut(alpha * alpha * ic).enumerate()
-                        {
-                            let tile = tile_start + t_local;
-                            let ty = tile / tiles_w;
-                            let tx = tile % tiles_w;
-                            let oy0 = ty * tile_n;
-                            let ox0 = tx * tile_n;
-                            for c in 0..ic {
-                                let plane = &in_batch[c * in_h * in_w..][..in_h * in_w];
-                                // Extract the alpha x alpha patch (with zero padding).
-                                for py in 0..alpha {
-                                    let iy = oy0 as isize + py as isize - pad_h as isize;
-                                    for px in 0..alpha {
-                                        let ix = ox0 as isize + px as isize - pad_w as isize;
-                                        patch[py * alpha + px] = if iy >= 0
-                                            && iy < in_h as isize
-                                            && ix >= 0
-                                            && ix < in_w as isize
-                                        {
-                                            plane[iy as usize * in_w + ix as usize]
-                                        } else {
-                                            0.0
-                                        };
-                                    }
-                                }
-                                transforms_ref.transform_input(&patch, &mut scratch, &mut xt);
-                                for (pos, &value) in xt.iter().enumerate() {
-                                    tile_buf[pos * ic + c] = value;
-                                }
+        // --- Input transform: src_t[pos][tile * ic + c]. Workers take tile
+        // ranges, which are contiguous only in a [tile][pos][c] arrangement,
+        // so they fill that and a scatter reorders it.
+        let in_batch = &input[b * ic * in_h * in_w..][..ic * in_h * in_w];
+        let per_tile = &mut staging[..tiles * positions * ic];
+        parallel_chunks_mut_scratch(
+            threads,
+            per_tile,
+            positions * ic,
+            workers,
+            3 * positions,
+            |tile_start, chunk, temporaries| {
+                let (patch, rest) = temporaries.split_at_mut(positions);
+                let (tmp, xt) = rest.split_at_mut(positions);
+                for (t_local, tile_buf) in chunk.chunks_mut(positions * ic).enumerate() {
+                    let tile = tile_start + t_local;
+                    let ty = tile / tiles_w;
+                    let tx = tile % tiles_w;
+                    let oy0 = ty * tile_n;
+                    let ox0 = tx * tile_n;
+                    for c in 0..ic {
+                        let plane = &in_batch[c * in_h * in_w..][..in_h * in_w];
+                        // Extract the alpha x alpha patch (with zero padding).
+                        for py in 0..alpha {
+                            let iy = oy0 as isize + py as isize - pad_h as isize;
+                            for px in 0..alpha {
+                                let ix = ox0 as isize + px as isize - pad_w as isize;
+                                patch[py * alpha + px] = if iy >= 0
+                                    && iy < in_h as isize
+                                    && ix >= 0
+                                    && ix < in_w as isize
+                                {
+                                    plane[iy as usize * in_w + ix as usize]
+                                } else {
+                                    0.0
+                                };
                             }
                         }
-                    },
-                );
-            }
-            // Scatter [tile][pos][c] -> [pos][tile][c]
-            for tile in 0..tiles {
-                for pos in 0..alpha * alpha {
-                    let src = &per_tile[(tile * alpha * alpha + pos) * ic..][..ic];
-                    let dst = &mut src_t[(pos * tiles + tile) * ic..][..ic];
-                    dst.copy_from_slice(src);
+                        transforms.transform_input(patch, tmp, xt);
+                        for (pos, &value) in xt.iter().enumerate() {
+                            tile_buf[pos * ic + c] = value;
+                        }
+                    }
                 }
+            },
+        );
+        // Scatter [tile][pos][c] -> [pos][tile][c]
+        for tile in 0..tiles {
+            for pos in 0..positions {
+                let src = &per_tile[(tile * positions + pos) * ic..][..ic];
+                let dst = &mut src_t[(pos * tiles + tile) * ic..][..ic];
+                dst.copy_from_slice(src);
             }
         }
 
         // --- Per-position GEMM: dst_t[pos] = src_t[pos] (tiles x ic) * W'[pos] (ic x oc)
-        let mut dst_t = vec![0.0f32; alpha * alpha * tiles * oc];
-        {
-            let src_ref = &src_t;
-            let w_ref = &transformed_weight;
-            let dst_ptr = ParallelOut(dst_t.as_mut_ptr());
-            let positions = alpha * alpha;
-            let per_pos_dst = tiles * oc;
-            parallel_for(threads, positions, move |start, end| {
-                // Capture the wrapper struct (not its raw-pointer field) so the
-                // closure stays `Sync` under edition-2021 disjoint capture.
-                let base = dst_ptr;
-                for pos in start..end {
-                    let src = &src_ref[pos * tiles * ic..][..tiles * ic];
-                    let w = &w_ref[pos * ic * oc..][..ic * oc];
-                    // SAFETY: each position writes a disjoint [tiles*oc] slice of dst_t.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(base.0.add(pos * per_pos_dst), per_pos_dst)
-                    };
-                    gemm_mt_with(kb, 1, tiles, ic, oc, src, w, dst);
-                }
-            });
-        }
+        let dst_t = &mut staging[..positions * tiles * oc];
+        let src_t = &*src_t;
+        parallel_chunks_mut(threads, dst_t, tiles * oc, |pos_start, chunk| {
+            for (p_local, dst) in chunk.chunks_mut(tiles * oc).enumerate() {
+                let pos = pos_start + p_local;
+                let src = &src_t[pos * tiles * ic..][..tiles * ic];
+                let w = &transformed_weight[pos * ic * oc..][..ic * oc];
+                gemm_mt_with(kb, 1, tiles, ic, oc, src, w, dst);
+            }
+        });
 
         // --- Output transform: gather per tile/oc, apply A^T . A, add bias, crop.
-        let out_batch_offset = b * oc * out_h * out_w;
-        let out_slice = &mut output[out_batch_offset..][..oc * out_h * out_w];
-        {
-            let dst_ref = &dst_t;
-            let transforms_ref = &transforms;
-            crate::parallel::parallel_chunks_mut(
-                threads,
-                out_slice,
-                out_h * out_w,
-                |oc_start, planes| {
-                    let mut prod = vec![0.0f32; alpha * alpha];
-                    let mut scratch = vec![0.0f32; alpha * alpha];
-                    let mut y = vec![0.0f32; tile_n * tile_n];
-                    for (o_local, plane) in planes.chunks_mut(out_h * out_w).enumerate() {
-                        let o = oc_start + o_local;
-                        let bias_v = if params.has_bias { bias[o] } else { 0.0 };
-                        for tile in 0..tiles {
-                            let ty = tile / tiles_w;
-                            let tx = tile % tiles_w;
-                            for pos in 0..alpha * alpha {
-                                prod[pos] = dst_ref[(pos * tiles + tile) * oc + o];
+        let out_slice = &mut output[b * oc * out_h * out_w..][..oc * out_h * out_w];
+        let dst_t = &*dst_t;
+        parallel_chunks_mut_scratch(
+            threads,
+            out_slice,
+            out_h * out_w,
+            workers,
+            3 * positions,
+            |oc_start, planes, temporaries| {
+                let (prod, rest) = temporaries.split_at_mut(positions);
+                let (tmp, rest) = rest.split_at_mut(positions);
+                let y = &mut rest[..tile_n * tile_n];
+                for (o_local, plane) in planes.chunks_mut(out_h * out_w).enumerate() {
+                    let o = oc_start + o_local;
+                    let bias_v = if params.has_bias { bias[o] } else { 0.0 };
+                    for tile in 0..tiles {
+                        let ty = tile / tiles_w;
+                        let tx = tile % tiles_w;
+                        for pos in 0..positions {
+                            prod[pos] = dst_t[(pos * tiles + tile) * oc + o];
+                        }
+                        transforms.transform_output(prod, tmp, y);
+                        let oy0 = ty * tile_n;
+                        let ox0 = tx * tile_n;
+                        for dy in 0..tile_n {
+                            let oy = oy0 + dy;
+                            if oy >= out_h {
+                                break;
                             }
-                            transforms_ref.transform_output(&prod, &mut scratch, &mut y);
-                            let oy0 = ty * tile_n;
-                            let ox0 = tx * tile_n;
-                            for dy in 0..tile_n {
-                                let oy = oy0 + dy;
-                                if oy >= out_h {
+                            for dx in 0..tile_n {
+                                let ox = ox0 + dx;
+                                if ox >= out_w {
                                     break;
                                 }
-                                for dx in 0..tile_n {
-                                    let ox = ox0 + dx;
-                                    if ox >= out_w {
-                                        break;
-                                    }
-                                    plane[oy * out_w + ox] = y[dy * tile_n + dx] + bias_v;
-                                }
+                                plane[oy * out_w + ox] = y[dy * tile_n + dx] + bias_v;
                             }
                         }
                     }
-                },
-            );
-        }
+                }
+            },
+        );
     }
-    output
 }
 
-/// Wrapper making a raw pointer `Send`/`Sync` for the disjoint-position writes above.
+/// Wrapper making a raw pointer `Send`/`Sync` for the disjoint writes of
+/// [`transform_weights`].
 struct ParallelOut(*mut f32);
 // SAFETY: every worker writes a disjoint region (indexed by transform position), so
 // sharing the base pointer across threads is sound.
@@ -418,6 +367,30 @@ mod tests {
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
+    /// The scalar kernel on a square input, through `Scratch::collect`.
+    fn winograd(
+        p: &ConvParams,
+        tile: usize,
+        threads: usize,
+        batch: usize,
+        size: usize,
+        x: &[f32],
+        w: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        let (out_h, out_w) = p.output_size(size, size);
+        Scratch::collect(
+            batch * p.out_channels * out_h * out_w,
+            winograd_scratch(p, tile, threads, size, size),
+            |out, scratch| {
+                let (kb, prepared) = (KernelBackend::Scalar, prepare_winograd_weights(p, tile, w));
+                conv2d_winograd_prepared_with(
+                    kb, p, &prepared, threads, batch, size, size, x, b, out, scratch,
+                )
+            },
+        )
+    }
+
     fn rel_max_diff(a: &[f32], b: &[f32]) -> f32 {
         let scale = a.iter().fold(1.0f32, |m, v| m.max(v.abs()));
         a.iter()
@@ -437,7 +410,7 @@ mod tests {
         let weight = random(&mut rng, p.weight_len());
         let bias = random(&mut rng, 8);
         let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &bias);
-        let got = conv2d_winograd(&p, 2, 2, 1, size, size, &input, &weight, &bias);
+        let got = winograd(&p, 2, 2, 1, size, &input, &weight, &bias);
         assert!(rel_max_diff(&expected, &got) < 1e-3);
     }
 
@@ -450,7 +423,7 @@ mod tests {
         let weight = random(&mut rng, p.weight_len());
         let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &[]);
         for tile in [2usize, 3, 4, 6] {
-            let got = conv2d_winograd(&p, tile, 3, 1, size, size, &input, &weight, &[]);
+            let got = winograd(&p, tile, 3, 1, size, &input, &weight, &[]);
             assert!(
                 rel_max_diff(&expected, &got) < 2e-3,
                 "tile size {tile} diverged"
@@ -466,7 +439,7 @@ mod tests {
         let input = random(&mut rng, 2 * size * size);
         let weight = random(&mut rng, p.weight_len());
         let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &[]);
-        let got = conv2d_winograd(&p, 2, 2, 1, size, size, &input, &weight, &[]);
+        let got = winograd(&p, 2, 2, 1, size, &input, &weight, &[]);
         assert!(rel_max_diff(&expected, &got) < 2e-3);
     }
 
@@ -478,7 +451,7 @@ mod tests {
         let input = random(&mut rng, 2 * 3 * size * size);
         let weight = random(&mut rng, p.weight_len());
         let expected = conv2d_reference(&p, 2, size, size, &input, &weight, &[]);
-        let got = conv2d_winograd(&p, 4, 2, 2, size, size, &input, &weight, &[]);
+        let got = winograd(&p, 4, 2, 2, size, &input, &weight, &[]);
         assert!(rel_max_diff(&expected, &got) < 2e-3);
     }
 
@@ -486,12 +459,11 @@ mod tests {
     #[should_panic(expected = "stride 1")]
     fn winograd_rejects_strided_convolution() {
         let p = ConvParams::square(3, 4, 3, 1).with_stride(2);
-        conv2d_winograd(
+        winograd(
             &p,
             2,
             1,
             1,
-            8,
             8,
             &vec![0.0; 3 * 64],
             &vec![0.0; p.weight_len()],
@@ -515,7 +487,7 @@ mod tests {
             let input = random(&mut rng, ic * size * size);
             let weight = random(&mut rng, p.weight_len());
             let expected = conv2d_reference(&p, 1, size, size, &input, &weight, &[]);
-            let got = conv2d_winograd(&p, tile, 2, 1, size, size, &input, &weight, &[]);
+            let got = winograd(&p, tile, 2, 1, size, &input, &weight, &[]);
             prop_assert!(rel_max_diff(&expected, &got) < 5e-3);
         }
     }

@@ -7,7 +7,7 @@
 //! optimal tile size `n̂` at pre-inference time.
 //!
 //! * [`WinogradTransforms`] / [`generate`] — the generator itself.
-//! * [`conv2d_winograd`] — the tiled `F(n×n, k×k)` convolution of Fig. 4, with the
+//! * [`conv2d_winograd_prepared_with`] — the tiled `F(n×n, k×k)` convolution of Fig. 4, with the
 //!   channel-wise Hadamard product restructured as one GEMM per transform position.
 
 mod generator;
@@ -15,8 +15,8 @@ mod kernel;
 
 pub use generator::{generate, WinogradTransforms};
 pub use kernel::{
-    conv2d_winograd, conv2d_winograd_prepared, conv2d_winograd_prepared_with,
-    prepare_winograd_weights, PreparedWinogradWeights,
+    conv2d_winograd_prepared_with, prepare_winograd_weights, winograd_scratch,
+    PreparedWinogradWeights,
 };
 
 /// Arithmetic cost `C(n)` of Winograd convolution with output tile size `n`,

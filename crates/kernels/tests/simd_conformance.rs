@@ -19,13 +19,25 @@
 //! passes trivially — there is nothing to compare.
 
 use mnn_kernels::conv::{
-    conv2d_1x1_strassen_with, conv2d_depthwise_with, conv2d_im2col_with, ConvParams,
+    conv2d_1x1_strassen_with, conv2d_depthwise_with, conv2d_im2col_with, im2col_scratch,
+    strassen_1x1_scratch, ConvParams,
 };
 use mnn_kernels::fc::fully_connected_with;
-use mnn_kernels::gemm::{gemm_mt_with, gemm_with};
-use mnn_kernels::quant::{conv2d_quantized_with, gemm_i8_with, QuantParams};
+use mnn_kernels::gemm::{gemm_mt_with, gemm_with, transpose};
+use mnn_kernels::quant::{
+    conv2d_quantized_scratch, conv2d_quantized_with, gemm_i8_with, QuantParams,
+};
 use mnn_kernels::simd::KernelBackend;
-use mnn_kernels::winograd::{conv2d_winograd_prepared_with, prepare_winograd_weights};
+use mnn_kernels::winograd::{
+    conv2d_winograd_prepared_with, prepare_winograd_weights, winograd_scratch,
+};
+use mnn_kernels::{Scratch, ScratchLen};
+
+/// Output elements of `params` on a `batch × in_h × in_w` input.
+fn conv_len(params: &ConvParams, batch: usize, in_h: usize, in_w: usize) -> usize {
+    let (out_h, out_w) = params.output_size(in_h, in_w);
+    batch * params.out_channels * out_h * out_w
+}
 
 /// The SIMD backend this host can actually execute, if any.
 fn hw_backend() -> Option<KernelBackend> {
@@ -114,9 +126,20 @@ fn int8_gemm_is_bit_identical() {
         let b = randi8(&mut seed, k * n);
         let ap = QuantParams::from_max_abs(1.3);
         let bp = QuantParams::from_max_abs(0.9);
-        let simd = gemm_i8_with(kb, m, k, n, &a, ap, &b, bp);
-        let scalar = gemm_i8_with(KernelBackend::Scalar, m, k, n, &a, ap, &b, bp);
-        assert_eq!(simd, scalar, "int8 gemm must be exact ({m}x{k}x{n})");
+        let need = ScratchLen {
+            i32: n,
+            ..ScratchLen::default()
+        };
+        let run = |kb| {
+            Scratch::collect(m * n, need, |c, scratch| {
+                gemm_i8_with(kb, m, k, n, &a, ap, &b, bp, c, scratch)
+            })
+        };
+        assert_eq!(
+            run(kb),
+            run(KernelBackend::Scalar),
+            "int8 gemm must be exact ({m}x{k}x{n})"
+        );
     }
 }
 
@@ -132,33 +155,35 @@ fn quantized_conv_is_bit_identical() {
         .map(|oc| 0.01 + 0.002 * oc as f32)
         .collect();
     let bias = vec![0.0f32; 0];
-    let simd = conv2d_quantized_with(
-        kb,
-        &params,
-        1,
-        batch,
-        in_h,
-        in_w,
-        &input,
-        &weight_q,
-        &weight_scales,
-        &bias,
-    );
-    let scalar = conv2d_quantized_with(
-        KernelBackend::Scalar,
-        &params,
-        1,
-        batch,
-        in_h,
-        in_w,
-        &input,
-        &weight_q,
-        &weight_scales,
-        &bias,
-    );
+    let run = |kb| {
+        Scratch::collect(
+            conv_len(&params, batch, in_h, in_w),
+            conv2d_quantized_scratch(&params, 1, batch, in_h, in_w),
+            |out, scratch| {
+                conv2d_quantized_with(
+                    kb,
+                    &params,
+                    1,
+                    batch,
+                    in_h,
+                    in_w,
+                    &input,
+                    &weight_q,
+                    &weight_scales,
+                    &bias,
+                    out,
+                    scratch,
+                )
+            },
+        )
+    };
     // Activations are quantized identically by both paths and the integer
     // accumulation is exact, so the dequantized outputs match bit-for-bit.
-    assert_eq!(simd, scalar, "quantized conv must be exact");
+    assert_eq!(
+        run(kb),
+        run(KernelBackend::Scalar),
+        "quantized conv must be exact"
+    );
 }
 
 #[test]
@@ -169,21 +194,30 @@ fn im2col_conv_matches_scalar_within_tolerance() {
         let mut seed = (ic * 100 + oc * 10 + kernel) as u64;
         let input = randf(&mut seed, ic * in_h * in_w);
         let weight = randf(&mut seed, params.weight_len());
-        let simd = conv2d_im2col_with(kb, &params, 1, 1, in_h, in_w, &input, &weight, &[]);
-        let scalar = conv2d_im2col_with(
-            KernelBackend::Scalar,
-            &params,
-            1,
-            1,
-            in_h,
-            in_w,
-            &input,
-            &weight,
-            &[],
-        );
+        let run = |kb| {
+            Scratch::collect(
+                conv_len(&params, 1, in_h, in_w),
+                im2col_scratch(&params, in_h, in_w),
+                |out, scratch| {
+                    conv2d_im2col_with(
+                        kb,
+                        &params,
+                        1,
+                        1,
+                        in_h,
+                        in_w,
+                        &input,
+                        &weight,
+                        &[],
+                        out,
+                        scratch,
+                    )
+                },
+            )
+        };
         assert_close(
-            &simd,
-            &scalar,
+            &run(kb),
+            &run(KernelBackend::Scalar),
             1e-4,
             &format!("im2col {ic}->{oc} k{kernel}"),
         );
@@ -198,27 +232,49 @@ fn pointwise_strassen_and_fc_match_scalar_within_tolerance() {
     let mut seed = 77u64;
     let input = randf(&mut seed, 17 * in_h * in_w);
     let weight = randf(&mut seed, params.weight_len());
-    let simd = conv2d_1x1_strassen_with(kb, &params, 2, 1, in_h, in_w, &input, &weight, &[]);
-    let scalar = conv2d_1x1_strassen_with(
-        KernelBackend::Scalar,
-        &params,
-        2,
-        1,
-        in_h,
-        in_w,
-        &input,
-        &weight,
-        &[],
+    let run = |kb| {
+        Scratch::collect(
+            conv_len(&params, 1, in_h, in_w),
+            strassen_1x1_scratch(&params, in_h, in_w),
+            |out, scratch| {
+                conv2d_1x1_strassen_with(
+                    kb,
+                    &params,
+                    2,
+                    1,
+                    in_h,
+                    in_w,
+                    &input,
+                    &weight,
+                    &[],
+                    out,
+                    scratch,
+                )
+            },
+        )
+    };
+    assert_close(
+        &run(kb),
+        &run(KernelBackend::Scalar),
+        1e-4,
+        "strassen 1x1 17->9",
     );
-    assert_close(&simd, &scalar, 1e-4, "strassen 1x1 17->9");
 
     let (batch, inf, outf) = (3, 33, 10);
     let x = randf(&mut seed, batch * inf);
-    let w = randf(&mut seed, outf * inf);
+    let w_t = transpose(outf, inf, &randf(&mut seed, outf * inf));
     let bias = randf(&mut seed, outf);
-    let simd = fully_connected_with(kb, 2, batch, inf, outf, &x, &w, &bias);
-    let scalar = fully_connected_with(KernelBackend::Scalar, 2, batch, inf, outf, &x, &w, &bias);
-    assert_close(&simd, &scalar, 1e-4, "fully-connected 33->10");
+    let run = |kb| {
+        Scratch::collect(batch * outf, ScratchLen::default(), |out, _| {
+            fully_connected_with(kb, 2, batch, inf, outf, &x, &w_t, &bias, out)
+        })
+    };
+    assert_close(
+        &run(kb),
+        &run(KernelBackend::Scalar),
+        1e-4,
+        "fully-connected 33->10",
+    );
 }
 
 #[test]
@@ -230,25 +286,33 @@ fn winograd_conv_matches_scalar_within_tolerance() {
         let input = randf(&mut seed, ic * in_h * in_w);
         let weight = randf(&mut seed, params.weight_len());
         let prepared = prepare_winograd_weights(&params, tile, &weight);
-        let simd =
-            conv2d_winograd_prepared_with(kb, &params, &prepared, 1, 1, in_h, in_w, &input, &[]);
-        let scalar = conv2d_winograd_prepared_with(
-            KernelBackend::Scalar,
-            &params,
-            &prepared,
-            1,
-            1,
-            in_h,
-            in_w,
-            &input,
-            &[],
-        );
+        let run = |kb| {
+            Scratch::collect(
+                conv_len(&params, 1, in_h, in_w),
+                winograd_scratch(&params, tile, 1, in_h, in_w),
+                |out, scratch| {
+                    conv2d_winograd_prepared_with(
+                        kb,
+                        &params,
+                        &prepared,
+                        1,
+                        1,
+                        in_h,
+                        in_w,
+                        &input,
+                        &[],
+                        out,
+                        scratch,
+                    )
+                },
+            )
+        };
         // Only the per-position GEMM differs (the transforms are scalar on
         // every backend), but the output transform then mixes its rounding
         // across a tile: 1e-3 relative.
         assert_close(
-            &simd,
-            &scalar,
+            &run(kb),
+            &run(KernelBackend::Scalar),
             1e-3,
             &format!("winograd F({tile}x{tile}) {ic}->{oc}"),
         );
@@ -277,19 +341,18 @@ fn depthwise_conv_matches_scalar_within_tolerance() {
         let mut seed = 1000 + idx as u64;
         let input = randf(&mut seed, params.in_channels * in_h * in_w);
         let weight = randf(&mut seed, params.weight_len());
-        let simd = conv2d_depthwise_with(kb, &params, 2, 1, in_h, in_w, &input, &weight, &[]);
-        let scalar = conv2d_depthwise_with(
-            KernelBackend::Scalar,
-            &params,
-            2,
-            1,
-            in_h,
-            in_w,
-            &input,
-            &weight,
-            &[],
-        );
+        let run = |kb| {
+            let len = conv_len(&params, 1, in_h, in_w);
+            Scratch::collect(len, ScratchLen::default(), |out, _| {
+                conv2d_depthwise_with(kb, &params, 2, 1, in_h, in_w, &input, &weight, &[], out)
+            })
+        };
         // 9 taps per output: a short reduction, so the bound is tight.
-        assert_close(&simd, &scalar, 1e-5, &format!("depthwise case {idx}"));
+        assert_close(
+            &run(kb),
+            &run(KernelBackend::Scalar),
+            1e-5,
+            &format!("depthwise case {idx}"),
+        );
     }
 }

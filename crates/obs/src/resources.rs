@@ -1,12 +1,12 @@
 //! Process-wide resource accounting: who holds how many resident bytes.
 //!
 //! The serving stack plans memory carefully (arenas with live-range reuse,
-//! per-signature plan caches, pooled sessions) but historically could not
+//! pooled sessions) but historically could not
 //! *report* any of it. This module is the ledger: every subsystem that holds
 //! a non-trivial allocation registers an [`AccountedBytes`] handle under a
 //! `(scope, component)` key — scope is usually a model name, component names
-//! the allocation class (`"arena"`, `"plan_cache"`, `"constants"`,
-//! `"tune_cache"`) — and charges/releases bytes as allocations come and go.
+//! the allocation class (`"arena"`, `"constants"`, `"tune_cache"`) — and
+//! charges/releases bytes as allocations come and go.
 //!
 //! The hot path is deliberately minimal: [`AccountedBytes::add`] and
 //! [`AccountedBytes::sub`] are **one relaxed atomic op each** (the bound the
@@ -101,8 +101,8 @@ fn ledger() -> MutexGuard<'static, LedgerMap> {
 /// Register (or look up) the account for `(scope, component)`.
 ///
 /// `scope` is usually a model name; `component` the allocation class
-/// (`"arena"`, `"plan_cache"`, `"constants"`, `"tune_cache"`, ...). The same
-/// key always returns a handle to the same cell.
+/// (`"arena"`, `"constants"`, `"tune_cache"`, ...). The same key always
+/// returns a handle to the same cell.
 pub fn account(scope: &str, component: &str) -> AccountedBytes {
     let cell = ledger()
         .entry((scope.to_string(), component.to_string()))

@@ -2,13 +2,13 @@
 //! (`cargo bench -p mnn-serve --bench resources_overhead`).
 //!
 //! The resource ledger's hot path is the plan swap: every `resize_session`
-//! that hits the plan cache re-points the session's arena account at the new
-//! plan's bytes (one relaxed atomic store) and moves the parked plan's bytes
-//! between the arena and plan-cache accounts. This bench flip-flops a
-//! session between two cached geometries — the fastest resize the engine can
-//! do, so accounting cost has nowhere to hide — with accounting on vs off,
-//! and **asserts** the ratio so a regression that drags a lock or a snapshot
-//! into the swap fails CI instead of taxing every shape change.
+//! re-checks what the session holds against what it has charged, and re-charges
+//! its arena account (two relaxed atomic ops) only when the arena or scratch
+//! grew. This bench flip-flops a session between two cached geometries — the
+//! fastest resize the engine can do, so accounting cost has nowhere to hide —
+//! with accounting on vs off, and **asserts** the ratio so a regression that
+//! drags a lock or a snapshot into the swap fails CI instead of taxing every
+//! shape change.
 
 use mnn_core::{Interpreter, Session, SessionConfig};
 use mnn_models::{build, ModelKind};

@@ -38,7 +38,7 @@ pub use dtype::DataType;
 pub use error::TensorError;
 pub use layout::{convert_layout_f32, nc4hw4_offset, nchw_offset, nhwc_offset, DataLayout};
 pub use shape::Shape;
-pub use tensor::{Tensor, TensorData};
+pub use tensor::{Tensor, TensorData, TensorView};
 
 /// Number of elements packed together in the NC4HW4 layout.
 ///

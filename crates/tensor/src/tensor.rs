@@ -219,6 +219,16 @@ impl Tensor {
         self.try_data_f32().expect("tensor is not f32")
     }
 
+    /// Borrow an NCHW `f32` tensor as a [`TensorView`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not `f32` or is not in NCHW layout.
+    pub fn view(&self) -> TensorView<'_> {
+        assert_eq!(self.layout, DataLayout::Nchw, "views are row-major");
+        TensorView::new(&self.shape, self.data_f32())
+    }
+
     /// Mutably borrow the buffer as `f32`.
     ///
     /// # Panics
@@ -368,6 +378,42 @@ impl Tensor {
             .zip(b.data_f32())
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f32, f32::max)
+    }
+}
+
+/// A borrowed `f32` activation: a logical shape over row-major (NCHW) data
+/// that lives elsewhere — a staged input tensor or a region of a session's
+/// planned arena. This is what an operator reads at run time.
+#[derive(Debug, Clone, Copy)]
+pub struct TensorView<'a> {
+    shape: &'a Shape,
+    data: &'a [f32],
+}
+
+impl<'a> TensorView<'a> {
+    /// View `data` as a tensor of `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != shape.num_elements()`.
+    pub fn new(shape: &'a Shape, data: &'a [f32]) -> Self {
+        assert_eq!(
+            data.len(),
+            shape.num_elements(),
+            "view of {shape} over {} elements",
+            data.len()
+        );
+        TensorView { shape, data }
+    }
+
+    /// The logical shape.
+    pub fn shape(&self) -> &'a Shape {
+        self.shape
+    }
+
+    /// The elements, row-major.
+    pub fn data(&self) -> &'a [f32] {
+        self.data
     }
 }
 

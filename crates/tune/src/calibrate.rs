@@ -15,7 +15,7 @@ use mnn_backend::timing::time_runs;
 use mnn_kernels::conv::ConvParams;
 use mnn_kernels::quant::{per_channel_scales, quantize_per_channel};
 use mnn_kernels::simd::KernelBackend;
-use mnn_kernels::{conv, quant};
+use mnn_kernels::{conv, quant, Scratch};
 
 /// One calibration geometry's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,14 +67,28 @@ pub fn calibrate_int8_cost_factor(threads: usize) -> Int8Calibration {
         let scales = per_channel_scales(&weight, oc);
         let weight_q = quantize_per_channel(&weight, &scales);
         let bias = vec![0.0f32; oc];
+        // Same-padded, stride 1: the output is `oc` planes of the input's size.
+        let mut output = vec![0.0f32; oc * size * size];
+        let mut scratch = Scratch::new(quant::conv2d_quantized_scratch(
+            &params, threads, 1, size, size,
+        ));
 
         let float_ms = time_runs(1, 3, || {
-            std::hint::black_box(conv::conv2d_sliding_window(
-                &params, threads, 1, size, size, &input, &weight, &bias,
-            ));
+            conv::conv2d_sliding_window(
+                &params,
+                threads,
+                1,
+                size,
+                size,
+                &input,
+                &weight,
+                &bias,
+                &mut output,
+            );
+            std::hint::black_box(&output);
         });
         let int8_ms = time_runs(1, 3, || {
-            std::hint::black_box(quant::conv2d_quantized_with(
+            quant::conv2d_quantized_with(
                 KernelBackend::active(),
                 &params,
                 threads,
@@ -85,7 +99,10 @@ pub fn calibrate_int8_cost_factor(threads: usize) -> Int8Calibration {
                 &weight_q,
                 &scales,
                 &bias,
-            ));
+                &mut output,
+                &mut scratch,
+            );
+            std::hint::black_box(&output);
         });
 
         // t_int8 / t_float ≈ (muls·factor + quantize_pass) / muls

@@ -16,7 +16,8 @@ use crate::signature::OpSignature;
 use crate::timer::{CandidateTimer, WallTimer};
 use crate::TuneError;
 use mnn_backend::{Backend, ConvScheme, Execution, SchemeHint};
-use mnn_graph::{Graph, Node};
+use mnn_graph::{Graph, Node, TensorId};
+use mnn_kernels::Scratch;
 use mnn_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::io;
@@ -334,15 +335,18 @@ impl Tuner {
     ///
     /// Candidates are prepared through `backend.on_create` (so constant-weight
     /// captures and Winograd transforms happen outside the timed region, as in
-    /// a real session), validated with one untimed run, then timed by the
-    /// injected [`CandidateTimer`]. Candidates that fail to prepare or
+    /// a real session) and given an output buffer and a scratch up front, as a
+    /// session's plan gives its steps, so that a sample is the kernel and not
+    /// an allocation. Each is validated with one untimed run, then timed by
+    /// the injected [`CandidateTimer`]. Candidates that fail to prepare or
     /// validate are skipped. Returns the entry plus the winning candidate's
     /// prepared execution, which the caller may install directly into its plan
     /// instead of re-creating it.
     ///
     /// # Errors
     ///
-    /// * [`TuneError::MissingShape`] when the node's input shape is unknown.
+    /// * [`TuneError::MissingShape`] when the node's input or output shape is
+    ///   unknown.
     /// * [`TuneError::NoCandidates`] when the candidate list is empty or every
     ///   candidate failed to prepare.
     pub fn measure_node(
@@ -354,13 +358,14 @@ impl Tuner {
         candidates: &[ConvScheme],
         threads: usize,
     ) -> Result<(TuneEntry, Box<dyn Execution>), TuneError> {
-        let input_shape = node
-            .inputs
-            .first()
-            .and_then(|id| graph.tensor_info(*id).ok())
-            .and_then(|info| info.shape.clone())
-            .ok_or_else(|| TuneError::MissingShape(node.name.clone()))?;
-        let input = deterministic_input(input_shape);
+        let shape_of = |id: Option<&TensorId>| {
+            id.and_then(|id| graph.tensor_info(*id).ok())
+                .and_then(|info| info.shape.clone())
+                .ok_or_else(|| TuneError::MissingShape(node.name.clone()))
+        };
+        let input = deterministic_input(shape_of(node.inputs.first())?);
+        let mut output = vec![0.0f32; shape_of(node.outputs.first())?.num_elements()];
+        let mut scratch = Scratch::default();
 
         let mut measurements = Vec::with_capacity(candidates.len());
         let mut best: Option<(f64, ConvScheme, Box<dyn Execution>)> = None;
@@ -372,14 +377,15 @@ impl Tuner {
             let Ok(mut execution) = backend.on_create(node, graph, &hint) else {
                 continue;
             };
+            scratch.grow(execution.scratch(&[input.shape()]));
             // Validation run: an inapplicable candidate fails here, outside
             // the timed region.
-            let mut output = Tensor::zeros(Shape::vector(1));
-            if execution.run(&[&input], &mut output).is_err() {
+            let mut run = || execution.run(&[input.view()], &mut output, &mut scratch);
+            if run().is_err() {
                 continue;
             }
             let ms = self.timer.time_candidate(signature, scheme, &mut || {
-                let _ = execution.run(&[&input], &mut output);
+                let _ = run();
             });
             self.cache
                 .inner

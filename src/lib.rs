@@ -29,11 +29,13 @@
 //! `Arc`. [`Interpreter::create_session`] runs **pre-inference** (paper Fig. 2) —
 //! per-convolution scheme selection, hybrid backend scheduling and the static
 //! memory plan — and lowers the result once into a dense step list: each step
-//! owns its prepared execution, the slots it reads, the slots to free after it
-//! (from the same lifetime analysis the memory plan uses) and the metadata a
-//! profiler span needs. A run is then a straight loop over that list against a
-//! slot table; it looks nothing up and formats nothing. The call returns an
-//! **owned** [`Session`]: it shares the weights with
+//! owns its prepared execution, knows where in the session's arena its inputs
+//! and its output live (the memory plan's assignment, every region on a 64-byte
+//! boundary) and carries the metadata a profiler span needs. The session
+//! allocates that arena, and one scratch area sized for the hungriest step,
+//! here. A run is then a straight loop in which step *i* writes its planned
+//! region; it looks nothing up, formats nothing and allocates nothing. The call
+//! returns an **owned** [`Session`]: it shares the weights with
 //! the interpreter, may outlive it, and is `Send`, so worker threads can each own
 //! one. Configure sessions with the [`SessionConfig::builder`]; address tensors by
 //! name; resize inputs dynamically with `resize_input` + `resize_session`:
@@ -469,10 +471,11 @@
 //!
 //! * **The resource ledger** ([`obs::resources`](mnn_obs::resources)) — every
 //!   allocation class charges bytes to a `(scope, component)` account:
-//!   sessions account their planned arenas and parked plan-cache plans, the
-//!   registry accounts each model's constants, the tuner its cache. Scopes
-//!   default to the graph name, so `/v1/status` attributes resident bytes to
-//!   the model a client addresses — `arena`, `constants`, `plan_cache` —
+//!   sessions account the arena and scratch they actually hold
+//!   ([`Session::activation_bytes`]; parked plan-cache plans hold none and
+//!   charge nothing), the registry accounts each model's constants, the tuner
+//!   its cache. Scopes default to the graph name, so `/v1/status` attributes
+//!   resident bytes to the model a client addresses — `arena`, `constants` —
 //!   next to the OS's own view (`VmRSS`, threads) for capacity planning.
 //! * **The worker watchdog** — serve workers heartbeat at batch boundaries
 //!   (idle / batching / running); a watchdog thread flags any non-idle worker

@@ -143,7 +143,7 @@ fn capability_table_reports_cpu_as_superset_of_gpu() {
 fn default_sessions_run_on_the_reported_kernel_set() {
     use mnn::graph::Conv2dAttrs;
     use mnn::kernels::simd::KernelBackend;
-    use mnn::kernels::{conv, winograd};
+    use mnn::kernels::{conv, winograd, Scratch, ScratchLen};
 
     let kb = KernelBackend::active();
     assert_eq!(mnn::obs::resources::build_info().kernel_backend, kb.name());
@@ -176,25 +176,35 @@ fn default_sessions_run_on_the_reported_kernel_set() {
 
         let params = attrs.with_bias().to_conv_params();
         let (x, w, b) = (input.data_f32(), &weight[..], &bias[..]);
-        let direct = match scheme {
-            ConvScheme::SlidingWindow => {
-                conv::conv2d_sliding_window(&params, 1, 1, size, size, x, w, b)
+        let need = match scheme {
+            ConvScheme::Im2col => conv::im2col_scratch(&params, size, size),
+            ConvScheme::Winograd { tile } => {
+                winograd::winograd_scratch(&params, tile, 1, size, size)
             }
-            ConvScheme::Im2col => conv::conv2d_im2col_with(kb, &params, 1, 1, size, size, x, w, b),
+            ConvScheme::Strassen1x1 => conv::strassen_1x1_scratch(&params, size, size),
+            _ => ScratchLen::default(),
+        };
+        let direct = Scratch::collect(got[0].data_f32().len(), need, |out, scratch| match scheme {
+            ConvScheme::SlidingWindow => {
+                conv::conv2d_sliding_window(&params, 1, 1, size, size, x, w, b, out)
+            }
+            ConvScheme::Im2col => {
+                conv::conv2d_im2col_with(kb, &params, 1, 1, size, size, x, w, b, out, scratch)
+            }
             ConvScheme::Winograd { tile } => {
                 let prepared = winograd::prepare_winograd_weights(&params, tile, w);
                 winograd::conv2d_winograd_prepared_with(
-                    kb, &params, &prepared, 1, 1, size, size, x, b,
+                    kb, &params, &prepared, 1, 1, size, size, x, b, out, scratch,
                 )
             }
             ConvScheme::Strassen1x1 => {
-                conv::conv2d_1x1_strassen_with(kb, &params, 1, 1, size, size, x, w, b)
+                conv::conv2d_1x1_strassen_with(kb, &params, 1, 1, size, size, x, w, b, out, scratch)
             }
             ConvScheme::Depthwise => {
-                conv::conv2d_depthwise_with(kb, &params, 1, 1, size, size, x, w, b)
+                conv::conv2d_depthwise_with(kb, &params, 1, 1, size, size, x, w, b, out)
             }
             ConvScheme::QuantizedGemm => unreachable!("float graph"),
-        };
+        });
         assert_eq!(got[0].data_f32(), direct, "{scheme} on {}", kb.name());
     }
 }

@@ -307,6 +307,36 @@ fn inception_float_vs_quantized_conformance() {
     assert_model_conformance(kind, size, alt);
 }
 
+/// One session taken up, down and up again in size keeps one arena — grown
+/// once, then reused by prefix — and must answer at every geometry exactly as
+/// a session born there does.
+#[test]
+fn grow_shrink_grow_resizes_match_fresh_sessions() {
+    let mut float_graph = build(ModelKind::SqueezeNetV1_1, 1, 32);
+    optimize(&mut float_graph, OptimizerOptions::default());
+    let mut quant_graph = float_graph.clone();
+    quantize_weights(&mut quant_graph);
+    for graph in [float_graph, quant_graph] {
+        let mut resized = session(graph.clone());
+        let mut held = resized.activation_bytes();
+        for size in [64, 24, 48] {
+            resized
+                .resize_input("data", Shape::nchw(1, 3, size, size))
+                .unwrap();
+            resized.resize_session().unwrap();
+            // The arena only ever grows, and only past its largest geometry.
+            assert_eq!(resized.activation_bytes() > held, size == 64, "{size} px");
+            held = resized.activation_bytes();
+            let input = deterministic_input(Shape::nchw(1, 3, size, size), size as u64);
+            let got = resized.run_with(&[("data", &input)]).unwrap();
+            let fresh = session(at_size(&graph, size))
+                .run_with(&[("data", &input)])
+                .unwrap();
+            assert_eq!(got[0].data_f32(), fresh[0].data_f32(), "{size} px");
+        }
+    }
+}
+
 /// MobileNet's 13 depthwise layers ride inside the quantized graph: they must be
 /// deterministically planned onto the f32 depthwise kernel (weights dequantized
 /// once at preparation), never the integer kernel, and the model must still pass
