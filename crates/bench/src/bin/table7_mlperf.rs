@@ -11,13 +11,9 @@
 use mnn_bench::{deterministic_input, print_row, print_table_header};
 use mnn_core::{Interpreter, SessionConfig};
 use mnn_models::{build, ModelKind};
+use mnn_obs::percentile;
 use mnn_tensor::Shape;
 use std::time::Instant;
-
-fn percentile(sorted_ns: &[u128], p: f64) -> u128 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx]
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -50,6 +46,7 @@ fn main() {
     let mean_ns = sum_ns / queries as u128;
     let qps_with_overhead = queries as f64 / wall_s;
     let qps_without_overhead = 1e9 * queries as f64 / sum_ns as f64;
+    let sorted_ns: Vec<f64> = latencies_ns.iter().map(|&ns| ns as f64).collect();
 
     print_table_header(
         &format!("Table 7: MLPerf-style results (MobileNet-v2, {input_size}x{input_size}, 4 CPU threads)"),
@@ -73,11 +70,11 @@ fn main() {
         ("Mean latency (ns)".into(), mean_ns.to_string()),
         (
             "50.00 percentile latency (ns)".into(),
-            percentile(&latencies_ns, 0.50).to_string(),
+            format!("{:.0}", percentile(&sorted_ns, 50.0)),
         ),
         (
             "90.00 percentile latency (ns)".into(),
-            percentile(&latencies_ns, 0.90).to_string(),
+            format!("{:.0}", percentile(&sorted_ns, 90.0)),
         ),
     ];
     for (item, value) in rows {

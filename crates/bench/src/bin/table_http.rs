@@ -36,14 +36,11 @@ struct LoadResult {
 }
 
 impl LoadResult {
+    /// Nearest-rank percentile `p` (0–100) of the served requests' latency.
     fn percentile(&self, p: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return f64::NAN;
-        }
         let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let index = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[index]
+        sorted.sort_by(f64::total_cmp);
+        mnn_obs::percentile(&sorted, p)
     }
 }
 
@@ -196,8 +193,8 @@ fn main() {
         print_row(&[
             name,
             format!("{:.1}", result.rps),
-            format!("{:.2}", result.percentile(0.50)),
-            format!("{:.2}", result.percentile(0.99)),
+            format!("{:.2}", result.percentile(50.0)),
+            format!("{:.2}", result.percentile(99.0)),
             format!(
                 "{:.1}%",
                 100.0 * result.rejected as f64 / REQUESTS_PER_MODEL as f64
@@ -220,7 +217,7 @@ fn main() {
         print_row(&[
             name,
             format!("{:.1}", result.rps),
-            format!("{:.2}", result.percentile(0.99)),
+            format!("{:.2}", result.percentile(99.0)),
             format!(
                 "{:.1}%",
                 100.0 * result.rejected as f64 / REQUESTS_PER_MODEL as f64

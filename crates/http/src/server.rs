@@ -20,7 +20,7 @@ use mnn_serve::DrainReport;
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,19 +88,24 @@ struct Shared {
     active_connections: AtomicUsize,
     connections_gauge: mnn_obs::Gauge,
     recorder: Arc<FlightRecorder>,
-    traces_counter: mnn_obs::Counter,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
 }
 
 /// Count one written response in `mnn_http_responses_total{code=...}`.
+/// Each status code's series is looked up in the registry once per process,
+/// so a response costs one atomic increment. `status` is one of the server's
+/// own three-digit codes.
 fn count_response(status: u16) {
-    mnn_obs::global()
-        .counter_with(
-            names::HTTP_RESPONSES,
-            "HTTP responses written, labeled by status code.",
-            &[("code", &status.to_string())],
-        )
+    static RESPONSES: [OnceLock<mnn_obs::Counter>; 600] = [const { OnceLock::new() }; 600];
+    RESPONSES[usize::from(status)]
+        .get_or_init(|| {
+            mnn_obs::global().counter_with(
+                names::HTTP_RESPONSES,
+                "HTTP responses written, labeled by status code.",
+                &[("code", &status.to_string())],
+            )
+        })
         .inc();
 }
 
@@ -173,10 +178,6 @@ impl HttpServer {
                 "HTTP connections currently being served.",
             ),
             recorder,
-            traces_counter: mnn_obs::global().counter(
-                names::TRACES_RECORDED,
-                "Request traces completed by the flight recorder.",
-            ),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
         });
@@ -495,7 +496,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                     if let Some(trace) = &trace {
                         trace.add_stage("write", 0, write_start, Instant::now());
                         trace.finish(u64::from(status));
-                        shared.traces_counter.inc();
                     }
                     responded = true;
                     if !write_ok {

@@ -59,7 +59,7 @@ mod trace;
 
 pub use context::{TraceContext, TraceScope};
 pub use log::{set_max_level, set_sink, Level, LogSink, StderrSink};
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
+pub use metrics::{global, percentile, Counter, Gauge, Histogram, Registry};
 pub use profile::{
     NodeBreakdown, OpBreakdown, OpMeta, ProfileReport, Profiler, RunRecorder, SpanRecord,
 };

@@ -170,8 +170,9 @@ struct HistogramInner {
     /// Most recent `(value, trace_id)` exemplar per bucket, rendered as an
     /// OpenMetrics exemplar suffix. Only written by
     /// [`Histogram::observe_with_exemplar`], so exemplar-free histograms
-    /// render byte-identically to before.
-    exemplars: Vec<Mutex<Option<(f64, String)>>>,
+    /// render byte-identically to before. The id is formatted only at render
+    /// time, so observing never allocates.
+    exemplars: Vec<Mutex<Option<(f64, u128)>>>,
 }
 
 /// A histogram with fixed bucket bounds (Prometheus classic histogram).
@@ -188,12 +189,11 @@ impl Histogram {
     /// Record one observation and attach `trace_id` as the bucket's exemplar,
     /// so an operator can go from a bad latency bucket straight to the
     /// offending trace in the flight recorder (`GET /v1/traces?id=...`).
-    pub fn observe_with_exemplar(&self, value: f64, trace_id: &str) {
+    pub fn observe_with_exemplar(&self, value: f64, trace_id: u128) {
         let slot = self.observe_slot(value);
-        let mut exemplar = self.0.exemplars[slot]
+        *self.0.exemplars[slot]
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *exemplar = Some((value, trace_id.to_string()));
+            .unwrap_or_else(PoisonError::into_inner) = Some((value, trace_id));
     }
 
     #[inline]
@@ -479,16 +479,15 @@ fn render_sample(
 /// Rewrite the just-rendered bucket line to carry an OpenMetrics exemplar
 /// suffix (` # {trace_id="..."} value`) when the bucket has one. Buckets
 /// without exemplars render byte-identically to the classic format.
-fn append_exemplar(out: &mut String, slot: &Mutex<Option<(f64, String)>>) {
-    let exemplar = slot.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((value, trace_id)) = exemplar.as_ref() {
+fn append_exemplar(out: &mut String, slot: &Mutex<Option<(f64, u128)>>) {
+    let exemplar = *slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((value, trace_id)) = exemplar {
         debug_assert!(out.ends_with('\n'));
         out.pop();
-        out.push_str(" # {trace_id=\"");
-        out.push_str(&escape_label_value(trace_id));
-        out.push_str("\"} ");
-        out.push_str(&format_f64(*value));
-        out.push('\n');
+        out.push_str(&format!(
+            " # {{trace_id=\"{trace_id:032x}\"}} {}\n",
+            format_f64(value)
+        ));
     }
 }
 
@@ -517,6 +516,17 @@ fn format_f64(value: f64) -> String {
         // Prometheus (all values are doubles).
         format!("{value}")
     }
+}
+
+/// Nearest-rank percentile `p` (0–100) of an ascending-sorted slice: the
+/// smallest value with at least `p`% of the values at or below it, so the
+/// answer is always an observed value. `0.0` for an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -756,8 +766,8 @@ mod tests {
         let before = registry.render_prometheus();
         assert!(!before.contains("trace_id"), "{before}");
 
-        h.observe_with_exemplar(3.0, "0af7651916cd43dd8448eb211c80319c");
-        h.observe_with_exemplar(99.0, "b7ad6b7169203331b7ad6b7169203331");
+        h.observe_with_exemplar(3.0, 0x0af7651916cd43dd8448eb211c80319c);
+        h.observe_with_exemplar(99.0, 0xb7ad6b7169203331b7ad6b7169203331);
         let text = registry.render_prometheus();
         assert!(
             text.contains(
@@ -773,13 +783,23 @@ mod tests {
         );
         assert!(text.contains("ex_ms_bucket{le=\"1\"} 1\n"), "{text}");
         // A later exemplar in the same bucket replaces the earlier one.
-        h.observe_with_exemplar(2.0, "deadbeefdeadbeefdeadbeefdeadbeef");
+        h.observe_with_exemplar(2.0, 0xdeadbeefdeadbeefdeadbeefdeadbeef);
         let text = registry.render_prometheus();
         assert!(
             text.contains("# {trace_id=\"deadbeefdeadbeefdeadbeefdeadbeef\"} 2\n"),
             "{text}"
         );
         assert!(!text.contains("0af7651916cd43dd8448eb211c80319c"), "{text}");
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let sorted: Vec<f64> = (1..=100).map(|v| v as f64).collect();
+        assert_eq!(percentile(&sorted, 50.0), 50.0);
+        assert_eq!(percentile(&sorted, 99.0), 99.0);
+        assert_eq!(percentile(&sorted, 100.0), 100.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }
 
     #[test]

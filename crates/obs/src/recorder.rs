@@ -292,6 +292,9 @@ pub struct FlightRecorder {
     slow_threshold_us: AtomicU64,
     next_slot: AtomicUsize,
     completed: AtomicU64,
+    /// The process-wide `mnn_traces_recorded_total`, counted where a trace
+    /// actually completes.
+    recorded: crate::Counter,
     ring: Vec<Mutex<Option<Arc<RequestTrace>>>>,
     slow: Mutex<VecDeque<Arc<RequestTrace>>>,
 }
@@ -326,6 +329,10 @@ impl FlightRecorder {
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
             next_slot: AtomicUsize::new(0),
             completed: AtomicU64::new(0),
+            recorded: crate::global().counter(
+                crate::metrics::names::TRACES_RECORDED,
+                "Request traces completed by the flight recorder.",
+            ),
             ring: (0..capacity).map(|_| Mutex::new(None)).collect(),
             slow: Mutex::new(VecDeque::new()),
         }
@@ -429,6 +436,7 @@ impl FlightRecorder {
 
     fn push(&self, trace: Arc<RequestTrace>) {
         self.completed.fetch_add(1, Ordering::Relaxed);
+        self.recorded.inc();
         if trace.slow {
             let mut slow = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
             if slow.len() == SLOW_CAPACITY {

@@ -12,11 +12,12 @@
 //! stress test in `tests/stress.rs` locks in.
 
 use crate::request::QueuedRequest;
-use crate::stats::StatsCollector;
+use crate::stats::{RequestSample, StatsCollector};
 use crate::ServeError;
 use mnn_core::{CoreError, Session};
-use mnn_obs::TraceContext;
+use mnn_obs::{SpanRecord, TraceContext};
 use mnn_tensor::{Shape, Tensor};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Instants a batch run passes back so stages can be attributed: everything
@@ -69,19 +70,17 @@ pub(crate) fn process_batch(
         })
     };
     let scatter_end = Instant::now();
-    attribute_stages(&batch, scope_trace.as_ref(), &marks, scatter_end, stats);
     // Record stats BEFORE fulfilling any slot: a client that wakes from
     // `wait()` must already see its request in the counters.
-    let latencies: Vec<(f64, Option<String>)> = batch
-        .iter()
-        .map(|request| {
-            (
-                request.enqueued.elapsed().as_secs_f64() * 1000.0,
-                request.trace.as_ref().map(|trace| trace.trace_id_hex()),
-            )
-        })
-        .collect();
-    stats.record_batch(&latencies, result.is_ok());
+    stats.record_batch(
+        batch
+            .iter()
+            .map(|request| sample(request, marks.run_start, scatter_end)),
+        result.is_ok(),
+    );
+    if let Some(head) = &scope_trace {
+        attribute_stages(&batch, head, &marks, scatter_end);
+    }
     let status = if result.is_ok() { 200 } else { 500 };
     match result {
         Ok(outputs) => {
@@ -103,42 +102,35 @@ pub(crate) fn process_batch(
             if trace.finishes_on_fulfill() {
                 trace.stage_since("serve", 0, trace.started());
                 trace.finish(status);
-                stats.record_trace_finished();
             }
         }
     }
 }
 
+/// Measure one served request: end-to-end latency up to `done`, queue wait
+/// up to the dequeue stamp, batch assembly from there to `run_start` (zero
+/// when the batch failed before running). Exists with tracing off too.
+fn sample(request: &QueuedRequest, run_start: Option<Instant>, done: Instant) -> RequestSample {
+    let ms = |from: Instant, to: Instant| to.saturating_duration_since(from).as_secs_f64() * 1000.0;
+    let dequeued = request.dequeued.unwrap_or(request.enqueued);
+    RequestSample {
+        latency_ms: ms(request.enqueued, done),
+        queue_wait_ms: ms(request.enqueued, dequeued),
+        batch_assembly_ms: run_start.map_or(0.0, |start| ms(dequeued, start)),
+        trace_id: request.trace.as_ref().map(|trace| trace.context().trace_id),
+    }
+}
+
 /// Attach queue-wait / batch-assembly / inference / scatter stage spans to
-/// every traced member, link them all to one generated batch span, fan the
-/// head's captured op spans out to the other members (shifted onto their
-/// timebases), and feed the stage-wait stats windows.
+/// every traced member, link them all to one generated batch span, and copy
+/// the `head`'s captured op spans into the *other* traced members (shifted
+/// onto their timebases). A batch of one copies nothing.
 fn attribute_stages(
     batch: &[QueuedRequest],
-    scope_trace: Option<&mnn_obs::ActiveTrace>,
+    head: &mnn_obs::ActiveTrace,
     marks: &RunMarks,
     scatter_end: Instant,
-    stats: &StatsCollector,
 ) {
-    // Stats stage windows are fed for every request, traced or not: the
-    // dequeue stamp comes from the queue unconditionally.
-    for request in batch {
-        if let Some(dequeued) = request.dequeued {
-            let queue_wait_ms = dequeued
-                .saturating_duration_since(request.enqueued)
-                .as_secs_f64()
-                * 1000.0;
-            let assembly_ms = marks
-                .run_start
-                .map(|rs| rs.saturating_duration_since(dequeued).as_secs_f64() * 1000.0)
-                .unwrap_or(0.0);
-            let id = request.trace.as_ref().map(|trace| trace.trace_id_hex());
-            stats.record_stage_waits(queue_wait_ms, assembly_ms, id.as_deref());
-        }
-    }
-    let Some(head) = scope_trace else {
-        return;
-    };
     // One span id names this batch execution; every traced member records it
     // together with the trace ids of its co-batched peers.
     let batch_span_id = TraceContext::generate().span_id_hex();
@@ -146,11 +138,7 @@ fn attribute_stages(
         .iter()
         .filter_map(|request| request.trace.as_ref().map(|trace| trace.trace_id_hex()))
         .collect();
-    let head_ops = head
-        .ops_sink()
-        .lock()
-        .map(|ops| ops.clone())
-        .unwrap_or_default();
+    let head_sink = head.ops_sink();
     for request in batch {
         let Some(trace) = &request.trace else {
             continue;
@@ -166,31 +154,42 @@ fn attribute_stages(
             trace.add_stage("scatter", 1, run_end, scatter_end);
         }
         trace.set_batch(&batch_span_id, members.clone());
-        let is_head = trace.context() == head.context();
-        if !is_head && !head_ops.is_empty() {
-            // The ops were timed against the head's start; shift them onto
-            // this member's timebase and restamp the trace id.
-            let shift_us = match trace.started().checked_duration_since(head.started()) {
-                Some(later) => -(later.as_secs_f64() * 1e6),
-                None => {
-                    head.started()
-                        .saturating_duration_since(trace.started())
-                        .as_secs_f64()
-                        * 1e6
-                }
-            };
-            let trace_id = trace.trace_id_hex();
-            let shifted = head_ops.iter().map(|op| {
-                let mut op = op.clone();
-                op.start_us += shift_us;
-                op.trace_id = trace_id.clone();
-                op
-            });
-            if let Ok(mut sink) = trace.ops_sink().lock() {
-                sink.extend(shifted);
-            }
+        let sink = trace.ops_sink();
+        if Arc::ptr_eq(&sink, &head_sink) {
+            continue;
         }
+        // The ops were timed against the head's start; shift them onto this
+        // member's timebase and restamp the trace id.
+        let shift_us = match trace.started().checked_duration_since(head.started()) {
+            Some(later) => -(later.as_secs_f64() * 1e6),
+            None => {
+                head.started()
+                    .saturating_duration_since(trace.started())
+                    .as_secs_f64()
+                    * 1e6
+            }
+        };
+        let trace_id = trace.trace_id_hex();
+        // Both sinks are locked in address order: a caller may submit one
+        // trace twice, and two workers must never wait on each other.
+        let (head_ops, mut ops) = if Arc::as_ptr(&head_sink) < Arc::as_ptr(&sink) {
+            let head_ops = lock(&head_sink);
+            (head_ops, lock(&sink))
+        } else {
+            let ops = lock(&sink);
+            (lock(&head_sink), ops)
+        };
+        ops.extend(head_ops.iter().map(|op| {
+            let mut op = op.clone();
+            op.start_us += shift_us;
+            op.trace_id = trace_id.clone();
+            op
+        }));
     }
+}
+
+fn lock(sink: &Mutex<Vec<SpanRecord>>) -> MutexGuard<'_, Vec<SpanRecord>> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The batched inference itself: returns per-request outputs in graph-output
@@ -278,4 +277,74 @@ fn current_input_shape(session: &Session, name: &str) -> Result<Option<Shape>, C
         .input_named(name)
         .ok_or_else(|| CoreError::InvalidInput(format!("unknown input '{name}'")))?;
     Ok(graph.tensor_info(id)?.shape.clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{ResponseSlot, Signature};
+    use mnn_obs::{FlightRecorder, SloConfig};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: defers every request to `System` unchanged; the counter is a
+    // thread-local `Cell<u64>` with a const initializer, so touching it
+    // neither allocates nor runs a destructor.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    #[test]
+    fn recording_a_traced_batch_allocates_nothing() {
+        let recorder = Arc::new(FlightRecorder::new());
+        let batch: Vec<QueuedRequest> = (0..8)
+            .map(|_| {
+                let inputs = vec![("data".to_string(), Tensor::zeros(Shape::nchw(1, 3, 4, 4)))];
+                let enqueued = Instant::now();
+                QueuedRequest {
+                    signature: Signature::of(&inputs),
+                    inputs,
+                    batchable: true,
+                    slot: ResponseSlot::new(),
+                    enqueued,
+                    dequeued: Some(Instant::now()),
+                    trace: recorder.begin_owned_trace_at(None, enqueued),
+                }
+            })
+            .collect();
+        let stats = StatsCollector::new(8, Some(SloConfig::default()));
+        let run_start = Instant::now();
+
+        let before = ALLOCATIONS.with(Cell::get);
+        let done = Instant::now();
+        stats.record_batch(
+            batch
+                .iter()
+                .map(|request| sample(request, Some(run_start), done)),
+            true,
+        );
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+        assert_eq!(allocations, 0);
+        let snap = stats.snapshot(0, 1, None);
+        assert_eq!(snap.completed, 8);
+        assert_eq!(snap.batch_histogram, vec![(8, 1)]);
+        assert_eq!(snap.slo.map(|slo| slo.requests), Some(8));
+    }
 }

@@ -126,20 +126,11 @@ impl RequestQueue {
     /// returned alone; a batchable head opens a window of `batch_window` in
     /// which compatible requests are coalesced as they arrive, skipping over
     /// incompatible ones (those stay queued for other workers).
-    #[cfg_attr(not(test), allow(dead_code))] // workers use the observed variant
+    ///
+    /// Once a head request is taken, the worker's `health` slot (if any) is
+    /// stamped *batching* (and heartbeaten) so the watchdog can tell a worker
+    /// coalescing a window from one idling on an empty queue.
     pub(crate) fn next_batch(
-        &self,
-        max_batch: usize,
-        batch_window: Duration,
-    ) -> Option<Vec<QueuedRequest>> {
-        self.next_batch_observed(max_batch, batch_window, None)
-    }
-
-    /// [`RequestQueue::next_batch`] with worker-health observation: once a
-    /// head request is taken, the worker's slot is stamped *batching* (and
-    /// heartbeaten) so the watchdog can tell a worker coalescing a window
-    /// from one idling on an empty queue.
-    pub(crate) fn next_batch_observed(
         &self,
         max_batch: usize,
         batch_window: Duration,
@@ -253,7 +244,7 @@ mod tests {
         for _ in 0..3 {
             queue.try_push(request(8, true)).unwrap();
         }
-        let batch = queue.next_batch(4, Duration::from_millis(1)).unwrap();
+        let batch = queue.next_batch(4, Duration::from_millis(1), None).unwrap();
         assert_eq!(batch.len(), 3);
         for member in &batch {
             let dequeued = member.dequeued.expect("queue stamps dequeue time");
@@ -290,7 +281,7 @@ mod tests {
             queue.try_push(request(8, true)).unwrap();
         }
         let batch = queue
-            .next_batch(4, Duration::from_millis(1))
+            .next_batch(4, Duration::from_millis(1), None)
             .expect("queue open");
         assert_eq!(batch.len(), 3);
         assert_eq!(queue.depth(), 0);
@@ -302,7 +293,7 @@ mod tests {
         for _ in 0..6 {
             queue.try_push(request(8, true)).unwrap();
         }
-        let batch = queue.next_batch(4, Duration::ZERO).unwrap();
+        let batch = queue.next_batch(4, Duration::ZERO, None).unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(queue.depth(), 2);
     }
@@ -313,10 +304,10 @@ mod tests {
         queue.try_push(request(8, true)).unwrap();
         queue.try_push(request(16, true)).unwrap(); // different geometry
         queue.try_push(request(8, true)).unwrap(); // compatible with head
-        let batch = queue.next_batch(4, Duration::ZERO).unwrap();
+        let batch = queue.next_batch(4, Duration::ZERO, None).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(queue.depth(), 1); // the 16x16 request waits its turn
-        let next = queue.next_batch(4, Duration::ZERO).unwrap();
+        let next = queue.next_batch(4, Duration::ZERO, None).unwrap();
         assert_eq!(next[0].signature, Signature::of(&next[0].inputs));
         assert_eq!(next.len(), 1);
     }
@@ -326,7 +317,7 @@ mod tests {
         let queue = RequestQueue::new(16);
         queue.try_push(request(4, false)).unwrap();
         queue.try_push(request(4, false)).unwrap();
-        let batch = queue.next_batch(4, Duration::from_millis(5)).unwrap();
+        let batch = queue.next_batch(4, Duration::from_millis(5), None).unwrap();
         assert_eq!(batch.len(), 1);
     }
 
@@ -338,7 +329,7 @@ mod tests {
         let abandoned = queue.abort();
         assert_eq!(abandoned.len(), 2);
         assert_eq!(queue.depth(), 0);
-        assert!(queue.next_batch(4, Duration::ZERO).is_none());
+        assert!(queue.next_batch(4, Duration::ZERO, None).is_none());
         assert_eq!(
             queue.try_push(request(8, true)),
             Err(ServeError::ShuttingDown)
@@ -349,7 +340,7 @@ mod tests {
     fn closed_empty_queue_releases_workers() {
         let queue = RequestQueue::new(4);
         queue.close();
-        assert!(queue.next_batch(4, Duration::ZERO).is_none());
+        assert!(queue.next_batch(4, Duration::ZERO, None).is_none());
     }
 
     #[test]
@@ -363,7 +354,9 @@ mod tests {
                 queue.try_push(request(8, true)).unwrap();
             })
         };
-        let batch = queue.next_batch(2, Duration::from_millis(250)).unwrap();
+        let batch = queue
+            .next_batch(2, Duration::from_millis(250), None)
+            .unwrap();
         late.join().unwrap();
         // The second request arrived inside the window and filled the batch.
         assert_eq!(batch.len(), 2);

@@ -8,7 +8,7 @@ use crate::stats::{ServerStats, StatsCollector};
 use crate::ServeError;
 use mnn_core::{Interpreter, SessionConfig, SessionPool, TuningMode};
 use mnn_graph::Graph;
-use mnn_obs::{ActiveTrace, FlightRecorder, SloConfig, SloSnapshot, SloTracker};
+use mnn_obs::{ActiveTrace, FlightRecorder, SloConfig, SloSnapshot};
 use mnn_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -176,8 +176,7 @@ impl ServerBuilder {
             .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
 
         let queue = Arc::new(RequestQueue::new(queue_capacity));
-        let slo = self.slo.map(|config| Arc::new(SloTracker::new(config)));
-        let stats = Arc::new(StatsCollector::new(self.max_batch, slo.clone()));
+        let stats = Arc::new(StatsCollector::new(self.max_batch, self.slo));
         let health = Arc::new(WorkerHealth::new(self.workers));
         let workers = (0..self.workers)
             .map(|index| {
@@ -235,7 +234,6 @@ impl ServerBuilder {
             watchdog: Some(watchdog),
             watchdog_stop,
             watchdog_deadline: self.watchdog_deadline,
-            slo,
         })
     }
 }
@@ -252,7 +250,7 @@ fn worker_loop(
 ) {
     loop {
         slot.beat(WorkerState::Idle);
-        let Some(batch) = queue.next_batch_observed(max_batch, batch_window, Some(slot)) else {
+        let Some(batch) = queue.next_batch(max_batch, batch_window, Some(slot)) else {
             break;
         };
         slot.beat(WorkerState::Running);
@@ -287,7 +285,6 @@ pub struct Server {
     watchdog: Option<JoinHandle<()>>,
     watchdog_stop: Arc<AtomicBool>,
     watchdog_deadline: Duration,
-    slo: Option<Arc<SloTracker>>,
 }
 
 impl Server {
@@ -454,7 +451,7 @@ impl Server {
 
     /// SLO compliance over the rolling window, if an SLO was configured.
     pub fn slo_snapshot(&self) -> Option<SloSnapshot> {
-        self.slo.as_ref().map(|tracker| tracker.snapshot())
+        self.stats.slo_snapshot()
     }
 
     /// The model served by this server.
@@ -536,7 +533,6 @@ impl Server {
                 if trace.finishes_on_fulfill() {
                     trace.stage_since("serve", 0, trace.started());
                     trace.finish(503);
-                    self.stats.record_trace_finished();
                 }
             }
         }

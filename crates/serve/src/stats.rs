@@ -1,17 +1,33 @@
 //! Server telemetry: counters, latency percentiles and the batch-size histogram.
 
 use crate::health::WorkerHealth;
-use mnn_obs::{SloSnapshot, SloTracker};
+use mnn_obs::{percentile, SloConfig, SloSnapshot, SloTracker};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Most recent per-request latencies retained for percentile estimation. A
-/// bounded ring keeps the snapshot O(1) in memory under sustained traffic and
-/// biases percentiles toward *current* behavior rather than startup noise.
+/// Most recent requests retained for percentile estimation. A bounded ring
+/// keeps the snapshot O(1) in memory under sustained traffic and biases
+/// percentiles toward *current* behavior rather than startup noise.
 const LATENCY_WINDOW: usize = 16_384;
+
+/// How one served request is measured: taken once per batch member by the
+/// batcher, then fed to the window, the global histograms and the SLO by
+/// [`StatsCollector::record_batch`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RequestSample {
+    /// End-to-end latency (enqueue → response), milliseconds.
+    pub(crate) latency_ms: f64,
+    /// Queue wait (enqueue → dequeue), milliseconds.
+    pub(crate) queue_wait_ms: f64,
+    /// Batch assembly (dequeue → inference start), milliseconds.
+    pub(crate) batch_assembly_ms: f64,
+    /// The request's trace id, attached to the histogram buckets as their
+    /// exemplar.
+    pub(crate) trace_id: Option<u128>,
+}
 
 struct StatsInner {
     submitted: u64,
@@ -23,12 +39,10 @@ struct StatsInner {
     aborted: u64,
     /// Worker panics contained by the batch loop / joined at shutdown.
     worker_panics: u64,
-    /// Per-request end-to-end latencies (enqueue → response), milliseconds.
-    latencies_ms: VecDeque<f64>,
-    /// Per-request queue wait (enqueue → dequeue), milliseconds.
-    queue_wait_ms: VecDeque<f64>,
-    /// Per-request batch assembly (dequeue → inference start), milliseconds.
-    batch_assembly_ms: VecDeque<f64>,
+    /// `[latency, queue wait, batch assembly]` of the last requests,
+    /// milliseconds. Allocated full-size up front, so recording never
+    /// allocates.
+    window: VecDeque<[f64; 3]>,
     /// `batch_histogram[k - 1]` counts executed batches of size `k`.
     batch_histogram: Vec<u64>,
 }
@@ -47,7 +61,6 @@ struct GlobalMetrics {
     batch_size: mnn_obs::Histogram,
     queue_wait_ms: mnn_obs::Histogram,
     batch_assembly_ms: mnn_obs::Histogram,
-    traces: mnn_obs::Counter,
 }
 
 impl GlobalMetrics {
@@ -96,11 +109,17 @@ impl GlobalMetrics {
                 "Time from dequeue to inference start (stacking, geometry), milliseconds.",
                 mnn_obs::metrics::LATENCY_MS_BUCKETS,
             ),
-            traces: global.counter(
-                names::TRACES_RECORDED,
-                "Request traces completed by the flight recorder.",
-            ),
         }
+    }
+}
+
+/// Observe `value`, attaching `trace_id` as the bucket's exemplar when the
+/// request was traced, so `/metrics` points straight at a representative
+/// trace.
+fn observe(histogram: &mnn_obs::Histogram, value: f64, trace_id: Option<u128>) {
+    match trace_id {
+        Some(id) => histogram.observe_with_exemplar(value, id),
+        None => histogram.observe(value),
     }
 }
 
@@ -109,12 +128,13 @@ pub(crate) struct StatsCollector {
     inner: Mutex<StatsInner>,
     metrics: GlobalMetrics,
     started: Instant,
-    /// Attached SLO tracker; every batch member's latency/outcome feeds it.
-    slo: Option<Arc<SloTracker>>,
+    /// SLO tracker, when an objective was configured; every batch member's
+    /// latency/outcome feeds it.
+    slo: Option<SloTracker>,
 }
 
 impl StatsCollector {
-    pub(crate) fn new(max_batch: usize, slo: Option<Arc<SloTracker>>) -> Self {
+    pub(crate) fn new(max_batch: usize, slo: Option<SloConfig>) -> Self {
         StatsCollector {
             inner: Mutex::new(StatsInner {
                 submitted: 0,
@@ -123,14 +143,12 @@ impl StatsCollector {
                 rejected: 0,
                 aborted: 0,
                 worker_panics: 0,
-                latencies_ms: VecDeque::new(),
-                queue_wait_ms: VecDeque::new(),
-                batch_assembly_ms: VecDeque::new(),
+                window: VecDeque::with_capacity(LATENCY_WINDOW),
                 batch_histogram: vec![0; max_batch.max(1)],
             }),
             metrics: GlobalMetrics::register(),
             started: Instant::now(),
-            slo,
+            slo: slo.map(SloTracker::new),
         }
     }
 
@@ -161,12 +179,38 @@ impl StatsCollector {
         self.metrics.worker_panics.inc();
     }
 
-    /// Record one executed batch: its size and each member's latency. A
-    /// member with a trace id attaches it as the latency bucket's exemplar,
-    /// so `/metrics` points straight at a representative trace.
-    pub(crate) fn record_batch(&self, latencies_ms: &[(f64, Option<String>)], ok: bool) {
+    /// Record one executed batch, one sample per member: the window, the
+    /// per-server counters and batch histogram, the global histograms and the
+    /// SLO tracker all take it from here. Takes the lock once and allocates
+    /// nothing.
+    pub(crate) fn record_batch(&self, samples: impl IntoIterator<Item = RequestSample>, ok: bool) {
         let mut inner = self.lock();
-        let size = latencies_ms.len();
+        let mut size = 0;
+        for sample in samples {
+            size += 1;
+            if inner.window.len() == LATENCY_WINDOW {
+                inner.window.pop_front();
+            }
+            inner.window.push_back([
+                sample.latency_ms,
+                sample.queue_wait_ms,
+                sample.batch_assembly_ms,
+            ]);
+            observe(&self.metrics.latency_ms, sample.latency_ms, sample.trace_id);
+            observe(
+                &self.metrics.queue_wait_ms,
+                sample.queue_wait_ms,
+                sample.trace_id,
+            );
+            observe(
+                &self.metrics.batch_assembly_ms,
+                sample.batch_assembly_ms,
+                sample.trace_id,
+            );
+            if let Some(slo) = &self.slo {
+                slo.record(sample.latency_ms, ok);
+            }
+        }
         if size == 0 {
             return;
         }
@@ -180,61 +224,11 @@ impl StatsCollector {
             self.metrics.errors.add(size as u64);
         }
         self.metrics.batch_size.observe(size as f64);
-        for (latency, trace_id) in latencies_ms {
-            if inner.latencies_ms.len() == LATENCY_WINDOW {
-                inner.latencies_ms.pop_front();
-            }
-            inner.latencies_ms.push_back(*latency);
-            match trace_id {
-                Some(id) => self.metrics.latency_ms.observe_with_exemplar(*latency, id),
-                None => self.metrics.latency_ms.observe(*latency),
-            }
-        }
-        drop(inner);
-        if let Some(slo) = &self.slo {
-            for (latency, _) in latencies_ms {
-                slo.record(*latency, ok);
-            }
-        }
     }
 
-    /// Record one request's queue-wait and batch-assembly stages (derived
-    /// from the queue's dequeue stamp, so they exist with tracing off too).
-    pub(crate) fn record_stage_waits(
-        &self,
-        queue_wait_ms: f64,
-        batch_assembly_ms: f64,
-        trace_id: Option<&str>,
-    ) {
-        let mut inner = self.lock();
-        if inner.queue_wait_ms.len() == LATENCY_WINDOW {
-            inner.queue_wait_ms.pop_front();
-        }
-        inner.queue_wait_ms.push_back(queue_wait_ms);
-        if inner.batch_assembly_ms.len() == LATENCY_WINDOW {
-            inner.batch_assembly_ms.pop_front();
-        }
-        inner.batch_assembly_ms.push_back(batch_assembly_ms);
-        drop(inner);
-        match trace_id {
-            Some(id) => {
-                self.metrics
-                    .queue_wait_ms
-                    .observe_with_exemplar(queue_wait_ms, id);
-                self.metrics
-                    .batch_assembly_ms
-                    .observe_with_exemplar(batch_assembly_ms, id);
-            }
-            None => {
-                self.metrics.queue_wait_ms.observe(queue_wait_ms);
-                self.metrics.batch_assembly_ms.observe(batch_assembly_ms);
-            }
-        }
-    }
-
-    /// Count one request trace sealed into the flight recorder.
-    pub(crate) fn record_trace_finished(&self) {
-        self.metrics.traces.inc();
+    /// SLO compliance over the rolling window, if an objective was configured.
+    pub(crate) fn slo_snapshot(&self) -> Option<SloSnapshot> {
+        self.slo.as_ref().map(SloTracker::snapshot)
     }
 
     pub(crate) fn snapshot(
@@ -245,12 +239,12 @@ impl StatsCollector {
     ) -> ServerStats {
         let inner = self.lock();
         let uptime_ms = self.started.elapsed().as_secs_f64() * 1000.0;
-        let mut sorted: Vec<f64> = inner.latencies_ms.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let mut queue_wait: Vec<f64> = inner.queue_wait_ms.iter().copied().collect();
-        queue_wait.sort_by(|a, b| a.partial_cmp(b).expect("waits are finite"));
-        let mut assembly: Vec<f64> = inner.batch_assembly_ms.iter().copied().collect();
-        assembly.sort_by(|a, b| a.partial_cmp(b).expect("waits are finite"));
+        let sorted = |column: usize| {
+            let mut values: Vec<f64> = inner.window.iter().map(|sample| sample[column]).collect();
+            values.sort_by(f64::total_cmp);
+            values
+        };
+        let (latency, queue_wait, assembly) = (sorted(0), sorted(1), sorted(2));
         let batches: u64 = inner.batch_histogram.iter().sum();
         let batched_requests: u64 = inner
             .batch_histogram
@@ -274,9 +268,9 @@ impl StatsCollector {
             } else {
                 0.0
             },
-            mean_latency_ms: mean(&sorted),
-            p50_latency_ms: percentile(&sorted, 50.0),
-            p99_latency_ms: percentile(&sorted, 99.0),
+            mean_latency_ms: mean(&latency),
+            p50_latency_ms: percentile(&latency, 50.0),
+            p99_latency_ms: percentile(&latency, 99.0),
             queue_wait_p50_ms: percentile(&queue_wait, 50.0),
             queue_wait_p99_ms: percentile(&queue_wait, 99.0),
             batch_assembly_p50_ms: percentile(&assembly, 50.0),
@@ -297,7 +291,7 @@ impl StatsCollector {
             worker_states: health.map_or_else(Vec::new, |h| {
                 h.states().iter().map(|s| s.as_str().to_string()).collect()
             }),
-            slo: self.slo.as_ref().map(|tracker| tracker.snapshot()),
+            slo: self.slo_snapshot(),
         }
     }
 }
@@ -310,21 +304,18 @@ fn mean(sorted: &[f64]) -> f64 {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// A point-in-time snapshot of server behavior, returned by
 /// [`Server::stats`](crate::Server::stats).
 ///
 /// The struct is `serde::Serialize`, and the serialized field set is part of
 /// the `/v1/models/{name}/stats` HTTP contract — a unit test pins the exact
 /// JSON shape so it cannot drift silently.
+///
+/// The percentiles are exact nearest-rank values over *this server's* last
+/// 16 384 requests (the "recent window"). The `/metrics` histograms
+/// (`mnn_infer_latency_ms`, `mnn_queue_wait_ms`, `mnn_batch_assembly_ms`)
+/// record the same samples but are cumulative since process start and shared
+/// by every server in the process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Number of worker threads.
@@ -362,7 +353,8 @@ pub struct ServerStats {
     /// 99th-percentile end-to-end latency over the recent window.
     pub p99_latency_ms: f64,
     /// Median time requests spent waiting in the queue (enqueue → dequeue)
-    /// over the recent window, from the tracing stage spans.
+    /// over the recent window, from the queue's dequeue stamp (measured with
+    /// tracing on or off).
     pub queue_wait_p50_ms: f64,
     /// 99th-percentile queue wait over the recent window.
     pub queue_wait_p99_ms: f64,
@@ -433,14 +425,11 @@ impl fmt::Display for ServerStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&sorted, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+    fn latency(latency_ms: f64) -> RequestSample {
+        RequestSample {
+            latency_ms,
+            ..RequestSample::default()
+        }
     }
 
     #[test]
@@ -449,9 +438,13 @@ mod tests {
         stats.record_submitted();
         stats.record_submitted();
         stats.record_submitted();
-        stats.record_batch(&[(1.0, None), (2.0, None)], true);
-        stats.record_batch(&[(3.0, None)], true);
-        stats.record_batch(&[(4.0, Some("deadbeef".into()))], false);
+        stats.record_batch([latency(1.0), latency(2.0)], true);
+        stats.record_batch([latency(3.0)], true);
+        let traced = RequestSample {
+            trace_id: Some(0xdeadbeef),
+            ..latency(4.0)
+        };
+        stats.record_batch([traced], false);
         let snap = stats.snapshot(5, 2, None);
         assert_eq!(snap.submitted, 3);
         assert_eq!(snap.completed, 3);
@@ -478,10 +471,17 @@ mod tests {
     #[test]
     fn stage_waits_surface_as_percentiles() {
         let stats = StatsCollector::new(4, None);
-        for wait in [1.0, 2.0, 3.0, 4.0] {
-            stats.record_stage_waits(wait, wait / 10.0, None);
-        }
-        stats.record_stage_waits(100.0, 10.0, Some("deadbeef"));
+        let waits = |wait: f64| RequestSample {
+            queue_wait_ms: wait,
+            batch_assembly_ms: wait / 10.0,
+            ..RequestSample::default()
+        };
+        stats.record_batch([1.0, 2.0, 3.0, 4.0].map(waits), true);
+        let traced = RequestSample {
+            trace_id: Some(0xdeadbeef),
+            ..waits(100.0)
+        };
+        stats.record_batch([traced], true);
         let snap = stats.snapshot(0, 1, None);
         assert_eq!(snap.queue_wait_p50_ms, 3.0);
         assert_eq!(snap.queue_wait_p99_ms, 100.0);
@@ -492,9 +492,24 @@ mod tests {
     #[test]
     fn oversized_batches_fold_into_last_bucket() {
         let stats = StatsCollector::new(2, None);
-        stats.record_batch(&[(1.0, None), (1.0, None), (1.0, None)], true); // size 3 with max_batch 2
+        stats.record_batch([latency(1.0); 3], true); // size 3 with max_batch 2
         let snap = stats.snapshot(0, 1, None);
         assert_eq!(snap.batch_histogram, vec![(2, 1)]);
+    }
+
+    #[test]
+    fn the_window_keeps_the_last_requests_and_the_slo_sees_every_one() {
+        let stats = StatsCollector::new(1, Some(SloConfig::default()));
+        for i in 0..LATENCY_WINDOW + 10 {
+            stats.record_batch([latency(i as f64)], true);
+        }
+        let snap = stats.snapshot(0, 1, None);
+        assert_eq!(snap.completed, (LATENCY_WINDOW + 10) as u64);
+        // The ten oldest samples fell out of the window.
+        assert_eq!(snap.p50_latency_ms, (10 + LATENCY_WINDOW / 2 - 1) as f64);
+        let slo = snap.slo.expect("an objective was configured");
+        assert_eq!(slo.requests, (LATENCY_WINDOW + 10) as u64);
+        assert_eq!(stats.slo_snapshot(), Some(slo));
     }
 
     /// Pins the exact JSON rendering of `ServerStats`. The `/stats` HTTP
@@ -550,7 +565,7 @@ mod tests {
     #[test]
     fn display_is_human_readable() {
         let stats = StatsCollector::new(4, None);
-        stats.record_batch(&[(1.0, None), (2.0, None), (3.0, None), (4.0, None)], true);
+        stats.record_batch([1.0, 2.0, 3.0, 4.0].map(latency), true);
         let text = stats.snapshot(0, 2, None).to_string();
         assert!(text.contains("throughput"));
         assert!(text.contains("queue wait"));

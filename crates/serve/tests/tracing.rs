@@ -88,6 +88,33 @@ fn owned_traces_capture_the_full_waterfall() {
     assert_eq!(batch.members, vec![trace.trace_id.clone()]);
 }
 
+/// A batch of one is its own head: the ops the session captured are the
+/// trace's ops, each step exactly once, with no fan-out copy on top.
+#[test]
+fn a_batch_of_one_records_each_step_once() {
+    let graph = build(ModelKind::TinyCnn, 1, 16);
+    let steps = mnn_core::Interpreter::from_graph(graph.clone())
+        .unwrap()
+        .create_session(mnn_core::SessionConfig::default())
+        .unwrap()
+        .report()
+        .placements
+        .len();
+    let recorder = Arc::new(FlightRecorder::new());
+    let server = Server::builder()
+        .workers(1)
+        .max_batch(1)
+        .trace_recorder(Arc::clone(&recorder))
+        .build(graph)
+        .unwrap();
+
+    let data = input();
+    server.infer(&[("data", &data)]).unwrap();
+    wait_for_completed(&recorder, 1);
+
+    assert_eq!(recorder.recent()[0].ops.len(), steps);
+}
+
 #[test]
 fn batch_links_name_exactly_the_coalesced_members() {
     let recorder = Arc::new(FlightRecorder::new());
