@@ -42,13 +42,6 @@ impl CpuBackend {
         }
     }
 
-    /// Override the FLOPS estimate used by the cost model (e.g. from a device
-    /// profile).
-    pub fn with_flops(mut self, flops: f64) -> Self {
-        self.flops = flops;
-        self
-    }
-
     /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -15,7 +15,8 @@
 //! * [`SimGpuBackend`] — simulated Metal / OpenCL / OpenGL / Vulkan backends: they
 //!   run the same kernels on the CPU for bit-exact outputs, while a virtual clock
 //!   charges the analytic GPU cost (`MUL / FLOPS + t_schedule`, paper Eq. 5 and
-//!   Appendix C). This substitutes for physical mobile GPUs; see `DESIGN.md`.
+//!   Appendix C). This substitutes for physical mobile GPUs, so every GPU latency
+//!   it reports is modelled, not measured.
 //! * [`memory`] — the static memory planner behind the paper's
 //!   preparation–execution decoupling (Fig. 3).
 //! * [`capability`] — per-backend operator support and the Table 4 statistics.

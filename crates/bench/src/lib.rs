@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each paper table / figure has a dedicated binary under `src/bin/` (see
-//! `DESIGN.md` for the experiment index); the Criterion benches under `benches/`
-//! cover the kernel-level measurements (Tables 1 and 3). This library holds the
-//! workload definitions and output formatting they share.
+//! Each reproduced paper table has a dedicated binary under `src/bin/` (the
+//! README's "Paper experiments" section lists them); the Criterion benches
+//! under `benches/` cover the kernel-level measurements (Tables 1 and 3). This
+//! library holds the workload definitions and output formatting they share.
 
 #![deny(missing_docs)]
 

@@ -125,15 +125,6 @@ impl ModelFile {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ConverterError> {
         Self::from_bytes(&fs::read(path)?)
     }
-
-    /// Size of the serialized model in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization errors.
-    pub fn serialized_size(&self) -> Result<usize, ConverterError> {
-        Ok(self.to_bytes()?.len())
-    }
 }
 
 #[cfg(test)]
@@ -208,15 +199,5 @@ mod tests {
             ModelFile::from_bytes(b"not a model"),
             Err(ConverterError::Parse(_))
         ));
-    }
-
-    #[test]
-    fn serialized_size_is_positive_and_reflects_weights() {
-        let small = ModelFile::new(demo_graph());
-        let mut b = GraphBuilder::new("big");
-        let x = b.input("x", Shape::nchw(1, 3, 8, 8));
-        let y = b.conv2d_auto("conv", x, Conv2dAttrs::same_3x3(3, 64), true);
-        let big = ModelFile::new(b.build(vec![y]));
-        assert!(big.serialized_size().unwrap() > small.serialized_size().unwrap());
     }
 }

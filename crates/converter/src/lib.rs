@@ -4,7 +4,7 @@
 //! graph-level optimizations and writes a compact `.mnn` file. This reproduction
 //! keeps the same pipeline over the `mnn-graph` IR:
 //!
-//! * [`format`] — the serializable model container (`.mnnr` files, JSON-encoded via
+//! * [`format`](mod@format) — the serializable model container (`.mnnr` files, JSON-encoded via
 //!   serde), the stand-in for the FlatBuffer-based `.mnn` format.
 //! * [`optimizer`] — offline graph optimizations: Conv+BatchNorm folding,
 //!   Conv+Activation fusion, constant folding of activation/scale chains, and

@@ -57,24 +57,6 @@ pub fn graph_cost(graph: &Graph, descriptor: &BackendDescriptor) -> GraphCost {
     }
 }
 
-/// Estimated cost of running every node of `graph` on the backend described by
-/// `descriptor` (Eq. 4). Thin wrapper over [`graph_cost`] that discards the
-/// skipped-node count; prefer [`graph_cost`] where completeness matters.
-pub fn graph_cost_ms(graph: &Graph, descriptor: &BackendDescriptor) -> f64 {
-    graph_cost(graph, descriptor).cost_ms
-}
-
-/// Pick the index of the backend with the smallest whole-graph cost (Eq. 4).
-///
-/// Returns `None` when `backends` is empty.
-pub fn select_backend(graph: &Graph, backends: &[&dyn Backend]) -> Option<usize> {
-    (0..backends.len()).min_by(|&a, &b| {
-        let ca = graph_cost(graph, &backends[a].descriptor()).cost_ms;
-        let cb = graph_cost(graph, &backends[b].descriptor()).cost_ms;
-        ca.partial_cmp(&cb).unwrap()
-    })
-}
-
 /// Per-node backend placement produced by hybrid scheduling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
@@ -153,11 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn graph_cost_scales_inversely_with_flops() {
+    fn graph_cost_falls_as_flops_rise() {
         let g = conv_heavy_graph();
         let slow = CpuBackend::new(1).descriptor();
         let fast = CpuBackend::new(4).descriptor();
-        assert!(graph_cost_ms(&g, &slow) > graph_cost_ms(&g, &fast));
+        assert!(graph_cost(&g, &slow).cost_ms > graph_cost(&g, &fast).cost_ms);
     }
 
     #[test]
@@ -175,17 +157,6 @@ mod tests {
         let cost = graph_cost(&partial, &d);
         assert!(cost.skipped_nodes >= 1);
         assert!(cost.cost_ms < graph_cost(&g, &d).cost_ms);
-        assert_eq!(graph_cost_ms(&partial, &d), cost.cost_ms);
-    }
-
-    #[test]
-    fn select_backend_prefers_the_faster_gpu_for_heavy_graphs() {
-        let g = conv_heavy_graph();
-        let cpu = CpuBackend::new(2);
-        let gpu = SimGpuBackend::new(ForwardType::Vulkan, GpuProfile::by_name("Mali-G72"));
-        let backends: Vec<&dyn Backend> = vec![&cpu, &gpu];
-        // Mali-G72 (31.6 GFLOPS) vastly outruns the 4 GFLOPS 2-thread CPU estimate.
-        assert_eq!(select_backend(&g, &backends), Some(1));
     }
 
     #[test]
@@ -215,7 +186,7 @@ mod tests {
         let gpu = SimGpuBackend::new(ForwardType::OpenCl, GpuProfile::by_name("Adreno 540"));
         let backends: Vec<&dyn Backend> = vec![&cpu, &gpu];
         let hybrid = placement_cost_ms(&hybrid_schedule(&g, &backends, 0));
-        let cpu_only = graph_cost_ms(&g, &cpu.descriptor());
+        let cpu_only = graph_cost(&g, &cpu.descriptor()).cost_ms;
         // Hybrid may only improve on the universal CPU placement.
         assert!(hybrid <= cpu_only + 1e-9);
     }
@@ -233,7 +204,6 @@ mod tests {
         let cpu = CpuBackend::new(1);
         let gpu = SimGpuBackend::new(ForwardType::OpenCl, GpuProfile::by_name("Adreno 540"));
         let backends: Vec<&dyn Backend> = vec![&cpu, &gpu];
-        assert_eq!(select_backend(&g, &backends), Some(0));
         let placements = hybrid_schedule(&g, &backends, 0);
         assert!(placements.iter().all(|p| p.backend_index == 0));
     }

@@ -11,7 +11,7 @@
 //!   to the CPU when a GPU-style backend lacks the operator.
 //! * [`memory_plan`] — preparation–execution decoupling (Fig. 3): the whole graph is
 //!   virtually walked at session-creation time to compute a reusable memory plan.
-//! * [`session`] — the user-facing [`Interpreter`] / [`Session`] API: create an
+//! * `session` — the user-facing [`Interpreter`] / [`Session`] API: create an
 //!   interpreter from a graph, create a session (which runs pre-inference once), then
 //!   run inferences repeatedly against pre-selected schemes, backends and memory.
 //!

@@ -146,17 +146,6 @@ impl SessionPool {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Check out a session without blocking; `None` when all are busy.
-    pub fn try_acquire(&self) -> Option<PooledSession> {
-        self.shared.idle_sessions().pop().map(|session| {
-            self.shared.acquires.inc();
-            PooledSession {
-                session: Some(session),
-                shared: Arc::clone(&self.shared),
-            }
-        })
-    }
 }
 
 impl std::fmt::Debug for SessionPool {
@@ -230,11 +219,9 @@ mod tests {
         let a = pool.acquire();
         let b = pool.acquire();
         assert_eq!(pool.available(), 0);
-        assert!(pool.try_acquire().is_none());
 
         drop(a);
         assert_eq!(pool.available(), 1);
-        assert!(pool.try_acquire().is_some()); // dropped immediately: back to 1
         drop(b);
         assert_eq!(pool.available(), 2);
     }

@@ -90,20 +90,13 @@ impl Default for CostModel {
     }
 }
 
-/// Estimated cost of Winograd `F(n×n, k×k)` for the layer, with the default
-/// [`CostModel`].
-pub fn winograd_cost(params: &ConvParams, in_h: usize, in_w: usize, tile: usize) -> f64 {
-    winograd_cost_with(params, in_h, in_w, tile, &CostModel::default())
-}
-
 /// Estimated cost of Winograd `F(n×n, k×k)` for the layer.
 ///
 /// The structure follows Eq. 2 (input transform + per-position GEMM + output
 /// transform, times the tile count of Eq. 7) with two practical refinements over the
-/// raw formula, documented in `DESIGN.md`: the output transform is charged per
-/// output channel, and the GEMM term carries a weight-streaming surcharge
-/// ([`CostModel::weight_reuse_tiles`]) so the model stays accurate when the tile
-/// count is small.
+/// raw formula: the output transform is charged per output channel, and the GEMM
+/// term carries a weight-streaming surcharge ([`CostModel::weight_reuse_tiles`]) so
+/// the model stays accurate when the tile count is small.
 pub fn winograd_cost_with(
     params: &ConvParams,
     in_h: usize,
@@ -152,12 +145,6 @@ pub fn strassen_cost(params: &ConvParams, in_h: usize, in_w: usize) -> f64 {
 /// `cargo run --release -p mnn-bench --bin table_tuning -- --calibrate`, and
 /// override it per session via `SessionConfig::builder().cost_model(...)`.
 pub const INT8_COST_FACTOR: f64 = 0.29;
-
-/// Estimated cost of the int8 integer kernel for the layer, with the default
-/// [`CostModel`].
-pub fn quantized_gemm_cost(params: &ConvParams, in_h: usize, in_w: usize) -> f64 {
-    quantized_gemm_cost_with(params, in_h, in_w, &CostModel::default())
-}
 
 /// Estimated cost of the int8 integer kernel for the layer: the direct
 /// multiplication count discounted by [`CostModel::int8_cost_factor`], plus the
@@ -536,9 +523,11 @@ mod tests {
             select_conv_scheme(&p, 32, 32, MAX_WINOGRAD_TILE),
             select_conv_scheme_with(&p, 32, 32, MAX_WINOGRAD_TILE, &CostModel::default())
         );
+        // The default model charges int8 at `INT8_COST_FACTOR` plus one
+        // quantization pass over the input.
         assert_eq!(
-            quantized_gemm_cost(&p, 32, 32),
-            quantized_gemm_cost_with(&p, 32, 32, &CostModel::default())
+            quantized_gemm_cost_with(&p, 32, 32, &CostModel::default()),
+            p.mul_count(32, 32) as f64 * INT8_COST_FACTOR + (p.in_channels * 32 * 32) as f64
         );
     }
 

@@ -28,8 +28,6 @@ pub struct SessionConfig {
     pub max_winograd_tile: usize,
     /// GPU profile used by simulated GPU backends.
     pub gpu_profile: GpuProfile,
-    /// CPU FLOPS estimate override for the cost model (e.g. from a device profile).
-    pub cpu_flops: Option<f64>,
     /// Upper bound on pre-inference plans cached per session (one entry per
     /// input-shape signature, excluding the active plan). `0` disables the
     /// cache entirely: every geometry change re-plans from scratch. Servers
@@ -70,7 +68,6 @@ impl Default for SessionConfig {
             decouple_preparation: true,
             max_winograd_tile: crate::scheme::MAX_WINOGRAD_TILE,
             gpu_profile: GpuProfile::GENERIC,
-            cpu_flops: None,
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             tuning: TuningMode::Off,
             tune_cache_path: None,
@@ -152,12 +149,6 @@ impl SessionConfigBuilder {
     /// Set the GPU profile used by simulated GPU backends.
     pub fn gpu_profile(mut self, profile: GpuProfile) -> Self {
         self.config.gpu_profile = profile;
-        self
-    }
-
-    /// Override the CPU FLOPS estimate used by the cost model.
-    pub fn cpu_flops(mut self, flops: f64) -> Self {
-        self.config.cpu_flops = Some(flops);
         self
     }
 

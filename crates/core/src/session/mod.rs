@@ -177,12 +177,8 @@ impl Session {
         for ft in &forward_types {
             match ft {
                 ForwardType::Cpu => {
-                    let mut cpu = CpuBackend::new(config.threads);
-                    if let Some(flops) = config.cpu_flops {
-                        cpu = cpu.with_flops(flops);
-                    }
                     cpu_index = Some(backends.len());
-                    backends.push(Box::new(cpu));
+                    backends.push(Box::new(CpuBackend::new(config.threads)));
                 }
                 gpu => {
                     let mut sim = SimGpuBackend::new(*gpu, config.gpu_profile);

@@ -122,11 +122,6 @@ impl RequestParser {
         self.buffer.extend_from_slice(bytes);
     }
 
-    /// Number of bytes buffered but not yet consumed by a parsed request.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Whether the buffer holds the beginning of an unfinished request —
     /// i.e. closing the connection now would drop a request in flight.
     pub fn has_partial(&self) -> bool {

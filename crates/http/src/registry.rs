@@ -1,7 +1,7 @@
 //! Multi-model registry: one [`mnn_serve::Server`] per registered model.
 //!
 //! The registry is the serving frontend's model table. Models come from a
-//! [`ModelManifest`](mnn_converter::ModelManifest), a directory scan of
+//! [`ModelManifest`], a directory scan of
 //! `.mnnr` files, or the built-in zoo; each gets its own serving runtime
 //! (worker threads, micro-batcher, bounded queue) built from one shared
 //! [`ServeOptions`].

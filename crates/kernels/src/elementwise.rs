@@ -45,55 +45,6 @@ pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Apply `op` element-wise, writing into `a` (`a = op(a, b)`).
-///
-/// # Panics
-///
-/// Panics if the buffer lengths differ.
-pub fn binary_inplace(op: BinaryOp, a: &mut [f32], b: &[f32]) {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "element-wise operands must have equal length"
-    );
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = op.apply(*x, y);
-    }
-}
-
-/// Broadcast-apply `op` with a per-channel scalar over an NCHW buffer.
-///
-/// `per_channel` has `channels` entries; each is combined with every element of the
-/// corresponding channel plane.
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent.
-pub fn binary_broadcast_channel(
-    op: BinaryOp,
-    data: &mut [f32],
-    per_channel: &[f32],
-    batch: usize,
-    channels: usize,
-    plane: usize,
-) {
-    assert_eq!(
-        per_channel.len(),
-        channels,
-        "per-channel operand length mismatch"
-    );
-    assert_eq!(data.len(), batch * channels * plane, "data length mismatch");
-    for b in 0..batch {
-        for c in 0..channels {
-            let v = per_channel[c];
-            let start = (b * channels + c) * plane;
-            for x in &mut data[start..start + plane] {
-                *x = op.apply(*x, v);
-            }
-        }
-    }
-}
-
 /// One input of a concatenation of NCHW tensors along the channel axis: copy
 /// `src` (`[batch, channels, plane]`) into channels `channel_offset..
 /// channel_offset + channels` of `out` (`[batch, total_channels, plane]`).
@@ -167,27 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_inplace_agree() {
-        let a = vec![1.0, -2.0, 3.0];
-        let b = vec![0.5, 2.0, -1.0];
-        let out = binary_of(BinaryOp::Mul, &a, &b);
-        let mut a2 = a.clone();
-        binary_inplace(BinaryOp::Mul, &mut a2, &b);
-        assert_eq!(out, a2);
-    }
-
-    #[test]
     #[should_panic(expected = "equal length")]
     fn binary_rejects_length_mismatch() {
         binary_of(BinaryOp::Add, &[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn broadcast_channel_adds_bias_per_channel() {
-        // 1 batch, 2 channels, 2 elements per plane
-        let mut data = vec![1.0, 1.0, 2.0, 2.0];
-        binary_broadcast_channel(BinaryOp::Add, &mut data, &[10.0, 20.0], 1, 2, 2);
-        assert_eq!(data, vec![11.0, 11.0, 22.0, 22.0]);
     }
 
     #[test]

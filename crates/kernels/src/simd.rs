@@ -132,28 +132,6 @@ pub fn axpy_f32(kb: KernelBackend, dst: &mut [f32], src: &[f32], a: f32) {
 }
 
 // ---------------------------------------------------------------------------
-// f32 dot product
-// ---------------------------------------------------------------------------
-
-/// Dot product of the common prefix of `a` and `b`.
-///
-/// SIMD backends accumulate lane-parallel (then reduce), so the summation
-/// order differs from scalar; results agree within a relative tolerance
-/// proportional to the vector length times machine epsilon.
-pub fn dot_f32(kb: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
-    let len = a.len().min(b.len());
-    match kb {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2Fma if KernelBackend::Avx2Fma.hw_supported() => unsafe {
-            x86::dot_f32_avx2(&a[..len], &b[..len])
-        },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::dot_f32_neon(&a[..len], &b[..len]) },
-        _ => a[..len].iter().zip(&b[..len]).map(|(x, y)| x * y).sum(),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // int8 axpy into i32 accumulators: acc[i] += w * x[i] as i32
 // ---------------------------------------------------------------------------
 
@@ -292,33 +270,6 @@ mod x86 {
             *d.add(i) += a * *s.add(i);
             i += 1;
         }
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
-        let len = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= len {
-            acc = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc);
-            i += 8;
-        }
-        // Horizontal reduce the 8 lanes.
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let lo = _mm256_castps256_ps128(acc);
-        let sum4 = _mm_add_ps(lo, hi);
-        let sum2 = _mm_add_ps(sum4, _mm_movehl_ps(sum4, sum4));
-        let sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 1));
-        let mut total = _mm_cvtss_f32(sum1);
-        while i < len {
-            total += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        total
     }
 
     /// # Safety
@@ -625,26 +576,6 @@ mod neon {
 
     /// # Safety
     /// NEON is baseline on aarch64; slices must cover the accessed ranges.
-    pub(super) unsafe fn dot_f32_neon(a: &[f32], b: &[f32]) -> f32 {
-        let len = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 4 <= len {
-            acc = vfmaq_f32(acc, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-            i += 4;
-        }
-        let mut total = vaddvq_f32(acc);
-        while i < len {
-            total += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; slices must cover the accessed ranges.
     pub(super) unsafe fn i8_axpy_i32_neon(acc: &mut [i32], x: &[i8], w: i32) {
         let len = acc.len();
         let ap = acc.as_mut_ptr();
@@ -899,26 +830,6 @@ mod tests {
                         "axpy mismatch at len {len}: {s} vs {r}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_matches_scalar_within_tolerance() {
-        for kb in [KernelBackend::Avx2Fma, KernelBackend::Neon] {
-            if !kb.hw_supported() {
-                continue;
-            }
-            for len in [0usize, 1, 5, 8, 9, 31, 256] {
-                let mut seed = 7 + len as u64;
-                let a: Vec<f32> = (0..len).map(|_| lcg(&mut seed)).collect();
-                let b: Vec<f32> = (0..len).map(|_| lcg(&mut seed)).collect();
-                let simd = dot_f32(kb, &a, &b);
-                let scalar = dot_f32(KernelBackend::Scalar, &a, &b);
-                assert!(
-                    (simd - scalar).abs() <= 1e-4 * (1.0 + scalar.abs()),
-                    "dot mismatch at len {len}: {simd} vs {scalar}"
-                );
             }
         }
     }

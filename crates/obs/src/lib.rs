@@ -19,7 +19,7 @@
 //!   `GET /metrics`. The engine layers (session prepare/resize/plan-cache,
 //!   tuning cache, serve queue/batcher/workers, HTTP handler) all write into
 //!   [`metrics::global`].
-//! * [`log`] — a leveled structured log facade ([`log!`], [`error!`],
+//! * [`log`](mod@log) — a leveled structured log facade ([`log!`], [`error!`],
 //!   [`warn!`], [`info!`], [`debug!`], [`trace!`]) filtered by the `MNN_LOG`
 //!   environment variable with an injectable sink, replacing the workspace's
 //!   ad-hoc `eprintln!`s. Lines emitted inside a trace scope automatically

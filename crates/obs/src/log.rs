@@ -103,8 +103,8 @@ fn init_from_env() -> u8 {
     level
 }
 
-/// Whether records at `level` are currently emitted. The check the [`log!`]
-/// macro performs before formatting anything.
+/// Whether records at `level` are currently emitted. The check the
+/// [`log!`](crate::log!) macro performs before formatting anything.
 #[inline]
 pub fn enabled(level: Level) -> bool {
     let mut max = MAX_LEVEL.load(Ordering::Relaxed);
@@ -128,8 +128,8 @@ pub fn set_sink(sink: Arc<dyn LogSink>) -> Arc<dyn LogSink> {
     std::mem::replace(&mut *guard, sink)
 }
 
-/// Deliver one pre-checked record to the sink. Call through [`log!`] (which
-/// performs the level check) rather than directly.
+/// Deliver one pre-checked record to the sink. Call through
+/// [`log!`](crate::log!) (which performs the level check) rather than directly.
 ///
 /// When a request trace scope is active on the calling thread (see
 /// [`crate::context::scope`]), the message is suffixed with

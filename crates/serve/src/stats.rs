@@ -237,14 +237,30 @@ impl StatsCollector {
         workers: usize,
         health: Option<&WorkerHealth>,
     ) -> ServerStats {
-        let inner = self.lock();
-        let uptime_ms = self.started.elapsed().as_secs_f64() * 1000.0;
-        let sorted = |column: usize| {
-            let mut values: Vec<f64> = inner.window.iter().map(|sample| sample[column]).collect();
-            values.sort_by(f64::total_cmp);
-            values
+        // Copy the window's columns and the counters out under the lock; the
+        // three sorts run after it is released, so a status call never stalls
+        // the workers' `record_batch`.
+        let (inner, mut columns) = {
+            let guard = self.lock();
+            let mut columns: [Vec<f64>; 3] =
+                std::array::from_fn(|_| Vec::with_capacity(guard.window.len()));
+            for sample in &guard.window {
+                for (column, &value) in columns.iter_mut().zip(sample) {
+                    column.push(value);
+                }
+            }
+            let counters = StatsInner {
+                window: VecDeque::new(),
+                batch_histogram: guard.batch_histogram.clone(),
+                ..*guard
+            };
+            (counters, columns)
         };
-        let (latency, queue_wait, assembly) = (sorted(0), sorted(1), sorted(2));
+        for column in &mut columns {
+            column.sort_by(f64::total_cmp);
+        }
+        let [latency, queue_wait, assembly] = columns;
+        let uptime_ms = self.started.elapsed().as_secs_f64() * 1000.0;
         let batches: u64 = inner.batch_histogram.iter().sum();
         let batched_requests: u64 = inner
             .batch_histogram

@@ -74,11 +74,6 @@ impl Shape {
         strides
     }
 
-    /// Dimension `i`, or 1 when the shape has fewer dimensions.
-    pub fn dim_or(&self, i: usize, default: usize) -> usize {
-        self.0.get(i).copied().unwrap_or(default)
-    }
-
     /// Batch dimension of a 4-D shape.
     ///
     /// # Panics

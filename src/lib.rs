@@ -13,8 +13,6 @@
 //! * [`core`] — pre-inference (scheme selection, backend cost evaluation, memory
 //!   planning), the `Interpreter`/`Session` API and hybrid scheduling.
 //! * [`models`] — the model zoo (MobileNet, SqueezeNet, ResNet, Inception-v3).
-//! * [`device_sim`] — device profiles and competitor-engine cost models used by the
-//!   paper-reproduction experiments.
 //! * [`serve`] — the concurrent serving runtime: session pooling, a bounded request
 //!   queue with backpressure, and dynamic micro-batching.
 //! * [`http`] — the network serving frontend: a hand-rolled HTTP/1.1 server with a
@@ -115,8 +113,8 @@
 //! so micro-batched serving stays bit-identical to unbatched runs — and
 //! accumulation is exact in `i32` with an `f32` rescale at each layer output.
 //!
-//! Run [`converter::optimize`](mnn_converter::optimize) *before*
-//! [`converter::quantize_weights`](mnn_converter::quantize_weights) so BN
+//! Run [`converter::optimize`] *before*
+//! [`converter::quantize_weights`] so BN
 //! folding and activation fusion happen on the float graph; the fused
 //! activation is carried into the quantized node. Depthwise convolutions are
 //! the deliberate exception: they stay on the f32 depthwise kernel (their
@@ -238,7 +236,7 @@
 //!
 //! The cost model itself is calibrated from the same harness
 //! ([`tune::calibrate`]): the int8-vs-float discount shipped as
-//! [`core::scheme::INT8_COST_FACTOR`](mnn_core::scheme::INT8_COST_FACTOR) is a
+//! [`core::scheme::INT8_COST_FACTOR`] is a
 //! measured value, and [`CostModel`] lets a session override any constant
 //! (e.g. with a re-calibration for its device, or pinned values in tests).
 //!
@@ -348,17 +346,17 @@
 //!   records one span per executed node (op, kernel scheme, placement, shape,
 //!   wall time, bytes moved). When no profiler is attached — the default —
 //!   the execution loop skips all timestamping; when attached but disabled,
-//!   the cost is one atomic load per run. [`Profiler::report`] aggregates
+//!   the cost is one atomic load per run. [`Profiler::report`](mnn_obs::Profiler::report) aggregates
 //!   into a per-op-type table with hottest nodes and a coverage figure
 //!   (how much of the measured wall time the spans account for), and
-//!   [`Profiler::chrome_trace`] exports the raw spans as chrome://tracing
+//!   [`Profiler::chrome_trace`](mnn_obs::Profiler::chrome_trace) exports the raw spans as chrome://tracing
 //!   JSON.
 //! * **Process-wide metrics** — lock-free counters, gauges and histograms
-//!   under stable `mnn_*` names ([`obs::metrics::names`](mnn_obs::metrics::names)),
+//!   under stable `mnn_*` names ([`obs::metrics::names`]),
 //!   written by session preparation, the plan cache, the tuner, the serving
 //!   queue/batcher/workers and the HTTP frontend, and rendered in Prometheus
 //!   text exposition format — `GET /metrics` on `mnn_http` serves exactly
-//!   [`obs::metrics::render_global`](mnn_obs::metrics::render_global).
+//!   [`obs::metrics::render_global`].
 //! * **A log facade** — leveled `error!`/`warn!`/`info!`/`debug!`/`trace!`
 //!   macros with an `MNN_LOG` environment filter and a replaceable sink, so
 //!   embedded uses can capture engine diagnostics instead of losing them to
@@ -413,7 +411,7 @@
 //! wait, the micro-batcher attributes batch assembly / inference / scatter
 //! and links the requests it coalesced under one batch span, and per-op
 //! kernel spans nest under the inference stage. Completed waterfalls land in
-//! a bounded [`FlightRecorder`](serve::FlightRecorder) — a ring of recent
+//! a bounded [`FlightRecorder`] — a ring of recent
 //! traces plus an always-kept slow-request reservoir — and every response
 //! echoes `X-Request-Id` and `traceparent`, including rejections. With
 //! tracing disabled (`MNN_TRACE=off`) the request path pays one relaxed
@@ -469,7 +467,7 @@
 //! meeting its objective? Three pieces answer those, all surfaced at
 //! `GET /v1/status` (and `/metrics`):
 //!
-//! * **The resource ledger** ([`obs::resources`](mnn_obs::resources)) — every
+//! * **The resource ledger** ([`obs::resources`]) — every
 //!   allocation class charges bytes to a `(scope, component)` account:
 //!   sessions account the arena and scratch they actually hold
 //!   ([`Session::activation_bytes`]; parked plan-cache plans hold none and
@@ -483,7 +481,7 @@
 //!   (default 30 s). A stalled worker fails `GET /readyz` — the *readiness*
 //!   probe load balancers poll, distinct from `/healthz` liveness — with a
 //!   machine-readable reason, and clears on the next heartbeat.
-//! * **SLO tracking** ([`obs::SloTracker`](mnn_obs::SloTracker)) — give a
+//! * **SLO tracking** ([`obs::SloTracker`]) — give a
 //!   model a latency/availability objective
 //!   ([`ServeOptions::slo`](mnn_http::ServeOptions)) and a ring of one-minute
 //!   buckets tracks p99-vs-objective compliance, availability, and the error
@@ -538,9 +536,6 @@ pub use mnn_core as core;
 
 /// Model zoo (re-export of `mnn-models`).
 pub use mnn_models as models;
-
-/// Device profiles and engine cost models (re-export of `mnn-device-sim`).
-pub use mnn_device_sim as device_sim;
 
 /// Concurrent serving runtime (re-export of `mnn-serve`).
 pub use mnn_serve as serve;

@@ -6,6 +6,8 @@ use mnn::models::{build, ModelKind};
 use mnn::tensor::{Shape, Tensor};
 use mnn::{Interpreter, SessionConfig};
 
+mod zoo;
+
 fn deterministic_input(shape: Shape) -> Tensor {
     let n = shape.num_elements();
     Tensor::from_vec(
@@ -90,13 +92,34 @@ fn squeezenet_at_reduced_resolution_runs_end_to_end() {
     assert!((sum - 1.0).abs() < 1e-3);
 }
 
+/// The kernels split work by output rows and channels, never along a
+/// reduction, so the thread count must not change a single bit of any output,
+/// f32 or int8.
 #[test]
 fn thread_count_does_not_change_results() {
-    let graph = build(ModelKind::TinyCnn, 1, 32);
-    let input = deterministic_input(Shape::nchw(1, 3, 32, 32));
-    let single = run_model(graph.clone(), &input, 1);
-    let multi = run_model(graph, &input, 4);
-    assert!(single[0].max_abs_diff(&multi[0]) < 1e-5);
+    for (kind, size) in zoo::MODELS {
+        let float = build(kind, 1, size);
+        let mut quantized = float.clone();
+        optimize(&mut quantized, OptimizerOptions::default());
+        quantize_weights(&mut quantized);
+        let input = deterministic_input(Shape::nchw(1, 3, size, size));
+        for (graph, dtype) in [(float, "f32"), (quantized, "int8")] {
+            let bits = |threads| -> Vec<Vec<u32>> {
+                run_model(graph.clone(), &input, threads)
+                    .iter()
+                    .map(|t| t.data_f32().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let single = bits(1);
+            for threads in [2, 3] {
+                assert_eq!(
+                    bits(threads),
+                    single,
+                    "{kind:?} {dtype} at {threads} threads differs from 1 thread"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -13,11 +13,13 @@ use mnn::backend::{Backend, ConvScheme, CpuBackend, Execution, SchemeHint};
 use mnn::converter::{optimize, quantize_weights, quantized_conv_candidates, OptimizerOptions};
 use mnn::graph::{Conv2dAttrs, GraphBuilder};
 use mnn::kernels::Scratch;
-use mnn::models::{build, ModelKind};
+use mnn::models::build;
 use mnn::tensor::{Shape, Tensor};
 use mnn::{Graph, Interpreter, SessionConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+mod zoo;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -48,19 +50,6 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
     f();
     ALLOCATIONS.with(Cell::get) - before
 }
-
-/// Every zoo model: the five of `tests/quant_conformance.rs` at its sizes, the
-/// other three at their sibling's.
-const MODELS: [(ModelKind, usize); 8] = [
-    (ModelKind::TinyCnn, 16),
-    (ModelKind::MobileNetV1, 32),
-    (ModelKind::MobileNetV2, 32),
-    (ModelKind::SqueezeNetV1_0, 48),
-    (ModelKind::SqueezeNetV1_1, 48),
-    (ModelKind::ResNet18, 32),
-    (ModelKind::ResNet50, 32),
-    (ModelKind::InceptionV3, 80),
-];
 
 fn ramp(shape: Shape) -> Tensor {
     let data = (0..shape.num_elements())
@@ -121,7 +110,7 @@ fn second_run_allocations(graph: &Graph, scheme: ConvScheme, input: &Tensor) -> 
 
 #[test]
 fn steady_state_inference_does_not_allocate() {
-    for (kind, size) in MODELS {
+    for (kind, size) in zoo::MODELS {
         let float = build(kind, 1, size);
         let mut quantized = float.clone();
         optimize(&mut quantized, OptimizerOptions::default());
